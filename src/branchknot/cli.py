@@ -219,14 +219,21 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_TOL_NAMES = ("conf_tol", "newton_tol")
+
+
 def _parse_tol(items) -> dict:
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
+        key = name.replace("-", "_")
+        if key not in _TOL_NAMES:
+            raise ValueError(f"unknown tolerance {name!r}; accepted: "
+                             f"{', '.join(_TOL_NAMES)}")
         v = float(value)
         if v <= 0:
             raise ValueError(f"tolerance {name} must be positive")
-        out[name.replace("-", "_")] = v
+        out[key] = v
     return out
 
 
@@ -241,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="tolerance override (repeatable)")
+                       help="tolerance override, NAME one of "
+                            f"{', '.join(_TOL_NAMES)} (repeatable)")
         if eta:
             p.add_argument("--eta", type=float, default=None,
                            help="slice radius (auto-scan when omitted)")

@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = ["CPoly"]
 
-_TRIM_EPS = 0.0  # exact trailing zeros only; tolerance-based queries take a tol
-
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=np.complex128).ravel()

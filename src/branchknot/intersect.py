@@ -4,7 +4,11 @@ Two independent routes to the double-point count:
 
 * find_double_points: grid-seeded damped Newton on F(z1) - F(z2) = 0,
   deduplicated into canonical preimage pairs.  This is the production
-  path; the inner iteration runs through the batch kernel.
+  path; the inner iteration runs through the batch kernel.  The grid
+  pairs whose images are close are thinned to one Newton seed per
+  unordered pair of preimage cells (the pair of smallest image
+  mismatch), because near a branch point the proximity cutoff admits
+  whole continua of pairs that all converge to the same double point.
 * brute_force_double_points: an exhaustive proximity scan on a fine grid,
   filtered to local minima of the image mismatch and clustered.  It never
   touches the Newton machinery, so it can referee it.
@@ -67,12 +71,6 @@ def _disk_grid(radius: float, n: int) -> np.ndarray:
     return zz[np.abs(zz) <= radius].ravel()
 
 
-def _canonical(z1: complex, z2: complex) -> tuple[complex, complex]:
-    if (z2.real, z2.imag) < (z1.real, z1.imag):
-        return z2, z1
-    return z1, z2
-
-
 def _frame_det(w: WeierstrassData, z1: complex, z2: complex) -> float:
     fx1, fy1 = jacobian(w, z1)
     fx2, fy2 = jacobian(w, z2)
@@ -86,10 +84,14 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
                        seed_sep_factor: float = 3.0) -> list[DoublePoint]:
     """All double points of F with both preimages in |z| <= radius.
 
-    Seeds every grid pair whose images are closer than a coarse threshold
-    (scaled by the local differential size) and polishes each with damped
-    Newton iteration; converged pairs are filtered against the diagonal,
-    deduplicated under the pair swap, and returned in canonical order.
+    Takes every grid pair whose images are closer than a coarse threshold
+    (scaled by the local differential size) and whose preimages are more
+    than seed_sep_factor grid spacings apart.  These pairs are bucketed by
+    the unordered pair of square preimage cells (side seed_sep_factor
+    spacings) holding their two points, and only the pair of smallest
+    image mismatch in each bucket seeds damped Newton iteration.
+    Converged pairs are filtered against the diagonal, deduplicated under
+    the pair swap, and returned in canonical order.
 
     Raises BranchPointInRegion when the search disk contains a branch
     point (the Newton system is singular there and the count is not
@@ -112,12 +114,15 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     pairs = tree.query_pairs(coarse_factor * spacing * gscale, output_type="ndarray")
     if pairs.size == 0:
         return []
+    cell = max(seed_sep_factor * spacing, 5 * pair_sep_tol)
     sep = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]])
-    keep = sep > max(seed_sep_factor * spacing, 5 * pair_sep_tol)
-    pairs = pairs[keep]
+    pairs = pairs[sep > cell]
     if pairs.size == 0:
         return []
-    log.debug("double-point search: %d seeds", len(pairs))
+    n_prox = len(pairs)
+    pairs = _thin_seeds(pts, img, pairs, radius, cell)
+    log.debug("double-point search: %d proximity pairs thinned to %d seeds",
+              n_prox, len(pairs))
 
     width = max(max(p.coeffs.size for p in w.f),
                 max(p.coeffs.size for p in w.fprime), 1)
@@ -130,38 +135,57 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     if n_fail:
         log.debug("double-point search: %d seeds did not converge", n_fail)
 
-    found: list[tuple[complex, complex, float]] = []
-    for a, b, r, good in zip(z1, z2, resid, ok):
-        if not good:
-            continue
-        a, b = complex(a), complex(b)
-        if abs(a) > radius or abs(b) > radius:
-            continue
-        if abs(a - b) < pair_sep_tol:
-            continue
-        found.append((*_canonical(a, b), float(r)))
-
-    # merge Newton basins: pairs within dedup_tol are one double point;
-    # both matchings are tried because canonical order is unstable when
-    # the two preimages have nearly equal real parts
-    found.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
-    merged: list[tuple[complex, complex, float]] = []
-    for a, b, r in found:
-        dup = False
-        for ma, mb, _ in merged:
-            if ((abs(a - ma) < dedup_tol and abs(b - mb) < dedup_tol)
-                    or (abs(a - mb) < dedup_tol and abs(b - ma) < dedup_tol)):
-                dup = True
-                break
-        if not dup:
-            merged.append((a, b, r))
-
+    keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
+            & (np.abs(z1 - z2) >= pair_sep_tol))
     out = []
-    for a, b, r in merged:
+    for a, b, r in _merge_pairs(z1[keep], z2[keep], resid[keep], dedup_tol):
         image = 0.5 * (evaluate_F(w, a) + evaluate_F(w, b))
         out.append(DoublePoint(z1=a, z2=b, image=image, residual=r,
                                transversality_det=_frame_det(w, a, b)))
     return out
+
+
+def _thin_seeds(pts: np.ndarray, img: np.ndarray, pairs: np.ndarray,
+                radius: float, cell: float) -> np.ndarray:
+    """One pair per unordered (cell(z1), cell(z2)) bucket: the one of
+    smallest image mismatch.  A discarded pair has both ends within one
+    cell of its representative's, the scale below which the separation
+    floor already refuses to tell preimages apart."""
+    nc = int(2.0 * radius / cell) + 2
+    cellid = (((pts.real + radius) // cell).astype(np.int64) * nc
+              + ((pts.imag + radius) // cell).astype(np.int64))
+    c0, c1 = cellid[pairs[:, 0]], cellid[pairs[:, 1]]
+    key = np.minimum(c0, c1) * nc * nc + np.maximum(c0, c1)
+    mism = np.linalg.norm(img[pairs[:, 0]] - img[pairs[:, 1]], axis=1)
+    order = np.lexsort((mism, key))
+    first = np.ones(order.size, bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    return pairs[order[first]]
+
+
+def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,
+                 dedup_tol: float) -> list[tuple[complex, complex, float]]:
+    """Merge converged pairs into double points, in canonical order.
+
+    In lexicographic order, a pair is a duplicate when both preimages
+    agree within dedup_tol with those of a pair already kept, under
+    either matching: canonical order is unstable when the two preimages
+    have nearly equal real parts.  Each kept pair removes all its
+    duplicates at once, so the loop runs once per double point.
+    """
+    swap = (z2.real < z1.real) | ((z2.real == z1.real) & (z2.imag < z1.imag))
+    a = np.where(swap, z2, z1)
+    b = np.where(swap, z1, z2)
+    order = np.lexsort((b.imag, b.real, a.imag, a.real))
+    a, b, resid = a[order], b[order], resid[order]
+    merged = []
+    while a.size:
+        ma, mb = a[0], b[0]
+        merged.append((complex(ma), complex(mb), float(resid[0])))
+        dup = (((np.abs(a - ma) < dedup_tol) & (np.abs(b - mb) < dedup_tol))
+               | ((np.abs(a - mb) < dedup_tol) & (np.abs(b - ma) < dedup_tol)))
+        a, b, resid = a[~dup], b[~dup], resid[~dup]
+    return merged
 
 
 def is_transverse(dp: DoublePoint, w: WeierstrassData,

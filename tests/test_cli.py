@@ -35,6 +35,19 @@ class TestAnalyze:
         assert rc == 2
         assert "OrderMismatch" in capsys.readouterr().err
 
+    def test_unknown_tolerance_exit_code(self, capsys):
+        rc = run("analyze", "--input", str(DATA / "cusp.json"),
+                 "--tol", "bogus_name=1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bogus_name" in err
+        assert "conf_tol" in err and "newton_tol" in err
+
+    def test_known_tolerance_accepted(self, capsys):
+        rc = run("analyze", "--input", str(DATA / "cusp.json"), "--json",
+                 "--tol", "conf-tol=1e-9", "--tol", "newton_tol=1e-11")
+        assert rc == 0
+
 
 class TestDeform:
     def test_zero_scale_exit_code(self, capsys):

@@ -1,14 +1,23 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import branchknot as bk
+from branchknot import _kernels
 from branchknot.cpoly import CPoly
 from branchknot.errors import BranchPointInRegion
-from branchknot.intersect import DoublePoint
+from branchknot.intersect import DoublePoint, _merge_pairs
 
 CUSP_T = 0.05
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def pair_dist(dp, a, b):
+    return min(max(abs(dp.z1 - a), abs(dp.z2 - b)),
+               max(abs(dp.z1 - b), abs(dp.z2 - a)))
 
 
 class TestFindDoublePoints:
@@ -55,6 +64,97 @@ class TestFindDoublePoints:
     def test_radius_cap(self, flat):
         with pytest.raises(ValueError):
             bk.find_double_points(flat, radius=0.95, grid_n=16)
+
+
+class TestSeedThinning:
+    # without thinning, Newton got about 400k seeds at grid 48 on each
+    # member; one seed per preimage cell pair leaves about 8k
+    MAX_SEEDS = 20_000
+    EXPECT = {
+        "cusp_member": [(-math.sqrt(3) * CUSP_T, math.sqrt(3) * CUSP_T)],
+        "torus_member": [(-0.1, 0.1), (-0.1j, 0.1j)],
+    }
+
+    @pytest.mark.parametrize("member", sorted(EXPECT))
+    def test_newton_seed_count(self, member, request, monkeypatch):
+        fm = request.getfixturevalue(member)
+        seeds = []
+        newton = _kernels.newton_double_points
+
+        def counting(z1, *args):
+            seeds.append(len(z1))
+            return newton(z1, *args)
+
+        monkeypatch.setattr(_kernels, "newton_double_points", counting)
+        dps = bk.find_double_points(fm.deformed, 0.5, 48)
+        assert 0 < sum(seeds) <= self.MAX_SEEDS
+        expect = self.EXPECT[member]
+        assert len(dps) == len(expect)
+        for a, b in expect:
+            assert min(pair_dist(dp, a, b) for dp in dps) < 1e-8
+
+    # counts the finder reported before seed thinning, on sampled
+    # (non-holomorphic) members; (fixture, orientation, seed) -> count
+    SAMPLED = {
+        ("four_function", +1, 1): 1, ("four_function", +1, 2): 0,
+        ("four_function", -1, 1): 1, ("four_function", -1, 2): 0,
+        ("mixed_strong", +1, 1): 4, ("mixed_strong", +1, 2): 6,
+        ("mixed_strong", -1, 1): 2, ("mixed_strong", -1, 2): 3,
+    }
+
+    @pytest.mark.parametrize("stem,orientation,seed", sorted(SAMPLED))
+    def test_sampled_members_stable(self, stem, orientation, seed):
+        w = bk.WeierstrassData.from_json_dict(
+            json.loads((DATA / f"{stem}.json").read_text()))
+        p = bk.sample_generic(w, 0.05, seed, orientation=orientation)
+        deformed = bk.build_family_member(w, p).deformed
+        for n in (32, 48):
+            dps = bk.find_double_points(deformed, 0.5, n)
+            assert len(dps) == self.SAMPLED[stem, orientation, seed]
+
+
+def _merge_loop(z1, z2, resid, tol):
+    """The original per-pair merge, kept as the reference."""
+    found = []
+    for a, b, r in zip(z1, z2, resid):
+        a, b = complex(a), complex(b)
+        if (b.real, b.imag) < (a.real, a.imag):
+            a, b = b, a
+        found.append((a, b, float(r)))
+    found.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
+    merged = []
+    for a, b, r in found:
+        if not any((abs(a - ma) < tol and abs(b - mb) < tol)
+                   or (abs(a - mb) < tol and abs(b - ma) < tol)
+                   for ma, mb, _ in merged):
+            merged.append((a, b, r))
+    return merged
+
+
+class TestMergePairs:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(0)
+        # equal real parts in the second pair: jitter flips its canonical
+        # order, so only the swapped matching merges it
+        centres = [(0.2 + 0.1j, -0.2 - 0.1j), (0.3 + 0.1j, 0.3 - 0.1j),
+                   (-0.1 + 0.4j, 0.1 + 0.0j)]
+        z1, z2 = [], []
+        for a, b in centres:
+            for _ in range(50):
+                ja, jb = rng.normal(scale=1e-8, size=(2, 2)) @ [1, 1j]
+                if rng.uniform() < 0.5:
+                    a, b = b, a
+                z1.append(a + ja)
+                z2.append(b + jb)
+        z1, z2 = np.array(z1), np.array(z2)
+        resid = rng.uniform(0, 1e-12, z1.size)
+        got = _merge_pairs(z1, z2, resid, 1e-6)
+        assert got == _merge_loop(z1, z2, resid, 1e-6)
+        assert len(got) == len(centres)
+
+    def test_empty(self):
+        empty = np.zeros(0, np.complex128)
+        assert _merge_pairs(empty, empty, np.zeros(0), 1e-6) == []
 
 
 class TestTransversality:
