@@ -1,81 +1,49 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: one numpy implementation each.
 
-Set BRANCHKNOT_NO_NUMBA=1 to force the numpy implementations (or run
-without numba installed).  Both paths compute the same quantities; the
-benchmark script under benchmarks/ compares them.
-
-Kernels:
   newton_double_points  -- damped Newton on F(z1) - F(z2) = 0 over a batch
                            of seed pairs (the double-point solver core)
   linking_sum           -- Gauss linking number of two closed polylines in
                            R^3 via the segment-pair solid-angle formula
+
+The Newton kernel evaluates the map through weierstrass.evaluate_F and
+weierstrass.jacobian, so it has no polynomial arithmetic of its own.
+There is no compiled path; the False flag below stays only because
+benchmark records read it to name the kernel path that ran.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-if os.environ.get("BRANCHKNOT_NO_NUMBA"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit, prange
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAS_NUMBA = False
+from .weierstrass import WeierstrassData, evaluate_F, jacobian
+
+# read by the benchmark record's kernel_path field
+HAS_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
+def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
+    """Damped Newton from each seed pair (z1[k], z2[k]).
 
-def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate 4 polynomials (rows of coeffs, lowest first) at points z."""
-    out = np.zeros((4, z.size), np.complex128)
-    for i in range(4):
-        acc = np.zeros(z.size, np.complex128)
-        for c in coeffs[i, ::-1]:
-            acc = acc * z + c
-        out[i] = acc
-    return out
-
-
-def _map_values(fco: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R^4 image points, shape (n, 4)."""
-    v = _horner_many(fco, z)
-    a = v[0] + np.conj(v[1])
-    b = v[2] + np.conj(v[3])
-    return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-
-
-def _frame_values(fpco: np.ndarray, z: np.ndarray):
-    """dF/dx and dF/dy at each z, shapes (n, 4)."""
-    d = _horner_many(fpco, z)
-    fx = np.stack([(d[0] + d[1]).real, (d[0] - d[1]).imag,
-                   (d[2] + d[3]).real, (d[2] - d[3]).imag], axis=-1)
-    fy = np.stack([-(d[0] + d[1]).imag, (d[0] - d[1]).real,
-                   -(d[2] + d[3]).imag, (d[2] - d[3]).real], axis=-1)
-    return fx, fy
-
-
-def _newton_double_points_np(z1, z2, fco, fpco, tol, max_iter):
-    z1 = z1.astype(np.complex128).copy()
-    z2 = z2.astype(np.complex128).copy()
+    Returns the final pairs, their residuals |F(z1) - F(z2)| and a mask
+    of the seeds that reached tol.  A seed whose 4x4 Jacobian is singular
+    (a preimage at a branch point) stops where it is, with ok False.
+    """
+    z1 = np.array(z1, np.complex128)
+    z2 = np.array(z2, np.complex128)
+    tol, max_iter = float(tol), int(max_iter)
     n = z1.size
     ok = np.zeros(n, bool)
     alive = np.ones(n, bool)
-    resid = np.linalg.norm(_map_values(fco, z1) - _map_values(fco, z2), axis=1)
+    resid = np.linalg.norm(evaluate_F(w, z1) - evaluate_F(w, z2), axis=1)
 
     for _ in range(max_iter):
         idx = np.nonzero(alive & ~ok)[0]
         if idx.size == 0:
             break
         a, b = z1[idx], z2[idx]
-        r = _map_values(fco, a) - _map_values(fco, b)
-        fx1, fy1 = _frame_values(fpco, a)
-        fx2, fy2 = _frame_values(fpco, b)
+        r = evaluate_F(w, a) - evaluate_F(w, b)
+        fx1, fy1 = jacobian(w, a)
+        fx2, fy2 = jacobian(w, b)
         J = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)  # (k,4,4) columns
         det = np.abs(np.linalg.det(J))
         good = det > 1e-300
@@ -93,7 +61,7 @@ def _newton_double_points_np(z1, z2, fco, fpco, tol, max_iter):
         for _half in range(9):
             n1 = base1 + step * (delta[:, 0] + 1j * delta[:, 1])
             n2 = base2 + step * (delta[:, 2] + 1j * delta[:, 3])
-            new = np.linalg.norm(_map_values(fco, n1) - _map_values(fco, n2), axis=1)
+            new = np.linalg.norm(evaluate_F(w, n1) - evaluate_F(w, n2), axis=1)
             worse = new > cur
             if not worse.any():
                 break
@@ -103,8 +71,10 @@ def _newton_double_points_np(z1, z2, fco, fpco, tol, max_iter):
     return z1, z2, resid, ok
 
 
-def _linking_sum_np(P: np.ndarray, Q: np.ndarray) -> float:
+def linking_sum(P, Q) -> float:
     """Gauss linking of closed polylines P (n,3) and Q (m,3)."""
+    P = np.asarray(P, np.float64)
+    Q = np.asarray(Q, np.float64)
     n = P.shape[0]
     Pn = np.vstack([P, P[:1]])
     Qn = np.vstack([Q, Q[:1]])
@@ -128,187 +98,3 @@ def _linking_sum_np(P: np.ndarray, Q: np.ndarray) -> float:
         d2 = an * dn * cn + ad * cn + dc * an + ca * dn
         total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
     return total / (2.0 * np.pi)
-
-
-# ---------------------------------------------------------------------------
-# numba fast path
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _eval4(coeffs, z):
-        out = np.zeros(4, np.complex128)
-        for i in range(4):
-            acc = 0.0 + 0.0j
-            for k in range(coeffs.shape[1] - 1, -1, -1):
-                acc = acc * z + coeffs[i, k]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _fval(fco, z):
-        v = _eval4(fco, z)
-        a = v[0] + np.conj(v[1])
-        b = v[2] + np.conj(v[3])
-        out = np.empty(4)
-        out[0] = a.real
-        out[1] = a.imag
-        out[2] = b.real
-        out[3] = b.imag
-        return out
-
-    @njit(cache=True)
-    def _solve4(A, rhs):
-        """Gaussian elimination with partial pivoting; returns success flag."""
-        M = A.copy()
-        x = rhs.copy()
-        for col in range(4):
-            piv = col
-            big = abs(M[col, col])
-            for r in range(col + 1, 4):
-                if abs(M[r, col]) > big:
-                    big = abs(M[r, col])
-                    piv = r
-            if big < 1e-300:
-                return x, False
-            if piv != col:
-                for c in range(4):
-                    M[col, c], M[piv, c] = M[piv, c], M[col, c]
-                x[col], x[piv] = x[piv], x[col]
-            for r in range(col + 1, 4):
-                f = M[r, col] / M[col, col]
-                for c in range(col, 4):
-                    M[r, c] -= f * M[col, c]
-                x[r] -= f * x[col]
-        for r in range(3, -1, -1):
-            s = x[r]
-            for c in range(r + 1, 4):
-                s -= M[r, c] * x[c]
-            x[r] = s / M[r, r]
-        return x, True
-
-    @njit(cache=True, parallel=True)
-    def _newton_double_points_nb(z1s, z2s, fco, fpco, tol, max_iter):
-        n = z1s.size
-        out1 = np.empty(n, np.complex128)
-        out2 = np.empty(n, np.complex128)
-        resid = np.empty(n)
-        ok = np.zeros(n, np.bool_)
-        for s in prange(n):
-            z1 = z1s[s]
-            z2 = z2s[s]
-            r = _fval(fco, z1) - _fval(fco, z2)
-            rn = np.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2 + r[3] ** 2)
-            good = True
-            for _ in range(max_iter):
-                if rn <= tol:
-                    break
-                d1 = _eval4(fpco, z1)
-                d2 = _eval4(fpco, z2)
-                J = np.empty((4, 4))
-                # columns: dF/dx(z1), dF/dy(z1), -dF/dx(z2), -dF/dy(z2)
-                J[0, 0] = (d1[0] + d1[1]).real
-                J[1, 0] = (d1[0] - d1[1]).imag
-                J[2, 0] = (d1[2] + d1[3]).real
-                J[3, 0] = (d1[2] - d1[3]).imag
-                J[0, 1] = -(d1[0] + d1[1]).imag
-                J[1, 1] = (d1[0] - d1[1]).real
-                J[2, 1] = -(d1[2] + d1[3]).imag
-                J[3, 1] = (d1[2] - d1[3]).real
-                J[0, 2] = -((d2[0] + d2[1]).real)
-                J[1, 2] = -((d2[0] - d2[1]).imag)
-                J[2, 2] = -((d2[2] + d2[3]).real)
-                J[3, 2] = -((d2[2] - d2[3]).imag)
-                J[0, 3] = (d2[0] + d2[1]).imag
-                J[1, 3] = -((d2[0] - d2[1]).real)
-                J[2, 3] = (d2[2] + d2[3]).imag
-                J[3, 3] = -((d2[2] - d2[3]).real)
-                delta, solved = _solve4(J, -r)
-                if not solved:
-                    good = False
-                    break
-                step = 1.0
-                n1 = z1
-                n2 = z2
-                nn = rn
-                for _half in range(9):
-                    n1 = z1 + step * (delta[0] + 1j * delta[1])
-                    n2 = z2 + step * (delta[2] + 1j * delta[3])
-                    rt = _fval(fco, n1) - _fval(fco, n2)
-                    nn = np.sqrt(rt[0] ** 2 + rt[1] ** 2 + rt[2] ** 2 + rt[3] ** 2)
-                    if nn <= rn:
-                        break
-                    step *= 0.5
-                z1, z2, rn = n1, n2, nn
-                r = _fval(fco, z1) - _fval(fco, z2)
-            out1[s] = z1
-            out2[s] = z2
-            resid[s] = rn
-            ok[s] = good and (rn <= tol)
-        return out1, out2, resid, ok
-
-    @njit(cache=True, parallel=True)
-    def _linking_sum_nb(P, Q):
-        n = P.shape[0]
-        m = Q.shape[0]
-        total = 0.0
-        for i in prange(n):
-            i1 = (i + 1) % n
-            acc = 0.0
-            for j in range(m):
-                j1 = (j + 1) % m
-                ax = P[i, 0] - Q[j, 0]
-                ay = P[i, 1] - Q[j, 1]
-                az = P[i, 2] - Q[j, 2]
-                bx = P[i, 0] - Q[j1, 0]
-                by = P[i, 1] - Q[j1, 1]
-                bz = P[i, 2] - Q[j1, 2]
-                cx = P[i1, 0] - Q[j1, 0]
-                cy = P[i1, 1] - Q[j1, 1]
-                cz = P[i1, 2] - Q[j1, 2]
-                dx = P[i1, 0] - Q[j, 0]
-                dy = P[i1, 1] - Q[j, 1]
-                dz = P[i1, 2] - Q[j, 2]
-                # p = a . (b x c)
-                p = (ax * (by * cz - bz * cy)
-                     + ay * (bz * cx - bx * cz)
-                     + az * (bx * cy - by * cx))
-                an = np.sqrt(ax * ax + ay * ay + az * az)
-                bn = np.sqrt(bx * bx + by * by + bz * bz)
-                cn = np.sqrt(cx * cx + cy * cy + cz * cz)
-                dn = np.sqrt(dx * dx + dy * dy + dz * dz)
-                ab = ax * bx + ay * by + az * bz
-                bc = bx * cx + by * cy + bz * cz
-                ca = cx * ax + cy * ay + cz * az
-                ad = ax * dx + ay * dy + az * dz
-                dc = dx * cx + dy * cy + dz * cz
-                d1 = an * bn * cn + ab * cn + bc * an + ca * bn
-                d2 = an * dn * cn + ad * cn + dc * an + ca * dn
-                acc += np.arctan2(p, d1) + np.arctan2(p, d2)
-            total += acc
-        return total / (2.0 * np.pi)
-
-    def newton_double_points(z1, z2, fco, fpco, tol, max_iter):
-        return _newton_double_points_nb(
-            np.ascontiguousarray(z1, np.complex128),
-            np.ascontiguousarray(z2, np.complex128),
-            np.ascontiguousarray(fco, np.complex128),
-            np.ascontiguousarray(fpco, np.complex128),
-            float(tol), int(max_iter))
-
-    def linking_sum(P, Q):
-        return float(_linking_sum_nb(np.ascontiguousarray(P, np.float64),
-                                     np.ascontiguousarray(Q, np.float64)))
-
-else:
-
-    def newton_double_points(z1, z2, fco, fpco, tol, max_iter):
-        return _newton_double_points_np(
-            np.asarray(z1, np.complex128), np.asarray(z2, np.complex128),
-            np.asarray(fco, np.complex128), np.asarray(fpco, np.complex128),
-            float(tol), int(max_iter))
-
-    def linking_sum(P, Q):
-        return float(_linking_sum_np(np.asarray(P, np.float64),
-                                     np.asarray(Q, np.float64)))

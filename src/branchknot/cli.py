@@ -219,17 +219,25 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_TOL_NAMES = ("conf_tol", "newton_tol")
+# the tolerance names each subcommand reads
+_TOL_NAMES = {
+    "analyze": ("conf_tol",),
+    "deform": ("conf_tol",),
+    "double-points": ("conf_tol", "newton_tol"),
+    "knot": ("conf_tol",),
+    "verify": ("conf_tol",),
+}
 
 
-def _parse_tol(items) -> dict:
+def _parse_tol(items, command: str) -> dict:
+    names = _TOL_NAMES[command]
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         key = name.replace("-", "_")
-        if key not in _TOL_NAMES:
-            raise ValueError(f"unknown tolerance {name!r}; accepted: "
-                             f"{', '.join(_TOL_NAMES)}")
+        if key not in names:
+            raise ValueError(f"unknown tolerance {name!r} for {command}; "
+                             f"accepted: {', '.join(names)}")
         v = float(value)
         if v <= 0:
             raise ValueError(f"tolerance {name} must be positive")
@@ -242,46 +250,51 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, eta=False, deform=False, region=False):
+    def command(name, summary, eta=False, sampling=False, params=False,
+                region=False):
+        # no prefix matching: "--t" must not be read as "--tol" where the
+        # subcommand has no "--t"
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--input", required=True, help="map data JSON file")
         p.add_argument("--out-dir", default=None, help="directory for output files")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="tolerance override, NAME one of "
-                            f"{', '.join(_TOL_NAMES)} (repeatable)")
+                            f"{', '.join(_TOL_NAMES[name])} (repeatable)")
         if eta:
             p.add_argument("--eta", type=float, default=None,
                            help="slice radius (auto-scan when omitted)")
-        if deform:
+        if sampling:
             p.add_argument("--t", type=float, default=None,
                            help="perturbation scale")
             p.add_argument("--seed", type=int, default=1, help="sampler seed")
             p.add_argument("--orientation", choices=["+", "-"], default="+")
+        if params:
             p.add_argument("--params", default=None,
-                           help="explicit parameter JSON (overrides sampling)")
+                           help="explicit parameter JSON; the command runs "
+                                "on that family member")
         if region:
             p.add_argument("--radius", type=float, default=0.5,
                            help="double-point search radius")
             p.add_argument("--grid-n", type=int, default=48,
                            help="seeding grid resolution")
 
-    common(sub.add_parser("analyze", help="validate and summarize input data"))
-    pd = sub.add_parser("deform", help="sample generic perturbation parameters")
-    common(pd, deform=True)
-    pdp = sub.add_parser("double-points", help="locate self-intersections")
-    common(pdp, deform=True, region=True)
-    pk = sub.add_parser("knot", help="trace the sphere slice and braid it")
-    common(pk, eta=True, deform=True)
-    pv = sub.add_parser("verify", help="check 2D = e - (N-1) end to end")
-    common(pv, eta=True, deform=True, region=True)
+    command("analyze", "validate and summarize input data")
+    command("deform", "sample generic perturbation parameters", sampling=True)
+    command("double-points", "locate self-intersections", params=True,
+            region=True)
+    command("knot", "trace the sphere slice and braid it", eta=True,
+            params=True)
+    command("verify", "check 2D = e - (N-1) end to end", eta=True,
+            sampling=True, params=True, region=True)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol = _parse_tol(args.tol)
+        args.tol = _parse_tol(args.tol, args.command)
         if args.command == "deform" and args.t is None:
             raise SamplingExhausted("deform requires --t > 0")
         handler = {

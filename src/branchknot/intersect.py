@@ -57,14 +57,6 @@ class DoublePoint:
         }
 
 
-def _coeff_matrix(polys, width: int | None = None) -> np.ndarray:
-    w = width or max(p.coeffs.size for p in polys) or 1
-    out = np.zeros((len(polys), w), np.complex128)
-    for i, p in enumerate(polys):
-        out[i, : p.coeffs.size] = p.coeffs
-    return out
-
-
 def _disk_grid(radius: float, n: int) -> np.ndarray:
     side = np.linspace(-radius, radius, n)
     zz = side[None, :] + 1j * side[:, None]
@@ -124,13 +116,8 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     log.debug("double-point search: %d proximity pairs thinned to %d seeds",
               n_prox, len(pairs))
 
-    width = max(max(p.coeffs.size for p in w.f),
-                max(p.coeffs.size for p in w.fprime), 1)
-    fco = _coeff_matrix(list(w.f), width)
-    fpco = _coeff_matrix(list(w.fprime), width)
-
     z1, z2, resid, ok = _kernels.newton_double_points(
-        pts[pairs[:, 0]], pts[pairs[:, 1]], fco, fpco, newton_tol, max_iter)
+        pts[pairs[:, 0]], pts[pairs[:, 1]], w, newton_tol, max_iter)
     n_fail = int((~ok).sum())
     if n_fail:
         log.debug("double-point search: %d seeds did not converge", n_fail)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +47,6 @@ __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "contact_transversality_margin", "select_eta",
            "verify_double_point_formula", "orientation_identity_report",
            "VerifyReport"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -237,8 +234,7 @@ def _closed_fiber_angles(q: np.ndarray) -> np.ndarray:
     return np.unwrap(th)
 
 
-def braid_from_knot(k: KnotCurve, w: WeierstrassData | None = None,
-                    angles: int = 2048) -> BraidDiagram:
+def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
     """Present a single-component slice as a braid over the fiber angle.
 
     The loop is resampled into N strands on a uniform fiber-angle grid;
@@ -303,14 +299,13 @@ def algebraic_crossing_number(b: BraidDiagram) -> int:
     return int(sum(c[3] for c in b.crossings))
 
 
-def stable_crossing_number(k: KnotCurve, w: WeierstrassData | None = None,
-                           start_angles: int = 1024,
+def stable_crossing_number(k: KnotCurve, start_angles: int = 1024,
                            max_angles: int = 32768) -> int:
     """Crossing sum at the first grid resolution stable across two doublings."""
     angles = start_angles
     values = []
     while angles <= max_angles:
-        values.append(algebraic_crossing_number(braid_from_knot(k, w, angles)))
+        values.append(algebraic_crossing_number(braid_from_knot(k, angles)))
         if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return values[-1]
         angles *= 2
@@ -477,9 +472,9 @@ def select_eta(w: WeierstrassData, start: float = 0.1,
     while eta >= min_eta:
         try:
             k = trace_slice(w, eta)
-            b = braid_from_knot(k, w)
+            b = braid_from_knot(k)
             if b.n_strands == w.N:
-                stable_crossing_number(k, w)
+                stable_crossing_number(k)
                 return eta
         except (TraceFailure, OpenCurve, NonMonotoneFiberAngle, BranchOnSlice):
             pass

@@ -1,21 +1,6 @@
-import numpy as np
 import pytest
 
 import branchknot as bk
-from branchknot import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger jit compilation (or cache load) outside any timed test body
-    fco = np.zeros((4, 3), np.complex128)
-    fco[0, 1] = 1.0
-    fpc = np.zeros((4, 3), np.complex128)
-    fpc[0, 0] = 1.0
-    _kernels.newton_double_points(np.array([0.1 + 0j]), np.array([-0.1 + 0j]),
-                                  fco, fpc, 1e-12, 3)
-    tri = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    _kernels.linking_sum(tri, tri + 5.0)
 
 
 @pytest.fixture(scope="session")

@@ -36,16 +36,17 @@ class TestAnalyze:
         assert "OrderMismatch" in capsys.readouterr().err
 
     def test_unknown_tolerance_exit_code(self, capsys):
+        # analyze reads conf_tol only, and says so
         rc = run("analyze", "--input", str(DATA / "cusp.json"),
                  "--tol", "bogus_name=1")
         assert rc == 2
         err = capsys.readouterr().err
         assert "bogus_name" in err
-        assert "conf_tol" in err and "newton_tol" in err
+        assert "conf_tol" in err and "newton_tol" not in err
 
     def test_known_tolerance_accepted(self, capsys):
         rc = run("analyze", "--input", str(DATA / "cusp.json"), "--json",
-                 "--tol", "conf-tol=1e-9", "--tol", "newton_tol=1e-11")
+                 "--tol", "conf-tol=1e-9")
         assert rc == 0
 
 
@@ -83,14 +84,19 @@ class TestDeform:
         assert (a / "params.json").read_bytes() == (b / "params.json").read_bytes()
 
 
+def cusp_params(tmp_path) -> str:
+    params = {"A": [[0, 0], [0, 0]], "B": [[-0.0025, 0], [0, 0], [0, 0]],
+              "orientation": "+", "t": 0.05}
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(params))
+    return str(pfile)
+
+
 class TestDoublePoints:
     def test_with_explicit_params(self, tmp_path, capsys):
-        params = {"A": [[0, 0], [0, 0]], "B": [[-0.0025, 0], [0, 0], [0, 0]],
-                  "orientation": "+", "t": 0.05}
-        pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(params))
+        pfile = cusp_params(tmp_path)
         rc = run("double-points", "--input", str(DATA / "cusp.json"),
-                 "--params", str(pfile), "--out-dir", str(tmp_path), "--json")
+                 "--params", pfile, "--out-dir", str(tmp_path), "--json")
         assert rc == 0
         dps = json.loads((tmp_path / "double_points.json").read_text())
         assert len(dps) == 1
@@ -100,6 +106,20 @@ class TestDoublePoints:
         rc = run("double-points", "--input", str(DATA / "cusp.json"))
         assert rc == 2
         assert "BranchPointInRegion" in capsys.readouterr().err
+
+    def test_unknown_tolerance_exit_code(self, capsys):
+        rc = run("double-points", "--input", str(DATA / "cusp.json"),
+                 "--tol", "bogus_name=1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bogus_name" in err
+        assert "conf_tol" in err and "newton_tol" in err
+
+    def test_known_tolerance_accepted(self, tmp_path, capsys):
+        rc = run("double-points", "--input", str(DATA / "cusp.json"),
+                 "--params", cusp_params(tmp_path), "--json",
+                 "--tol", "newton_tol=1e-11")
+        assert rc == 0
 
 
 class TestKnot:
@@ -131,15 +151,18 @@ class TestKnot:
         assert rc == 5
         assert "NonMonotoneFiberAngle" in capsys.readouterr().err
 
+    def test_sampling_flag_refused(self, capsys):
+        # knot reads --params only; --t is neither its flag nor --tol
+        with pytest.raises(SystemExit) as exc:
+            run("knot", "--input", str(DATA / "cusp.json"), "--t", "0.05")
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_cusp_with_explicit_params(self, tmp_path, capsys):
-        params = {"A": [[0, 0], [0, 0]], "B": [[-0.0025, 0], [0, 0], [0, 0]],
-                  "orientation": "+", "t": 0.05}
-        pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(params))
+        pfile = cusp_params(tmp_path)
         rc = run("verify", "--input", str(DATA / "cusp.json"),
-                 "--params", str(pfile), "--eta", "0.01",
+                 "--params", pfile, "--eta", "0.01",
                  "--out-dir", str(tmp_path))
         assert rc == 0
         out = capsys.readouterr().out
@@ -152,3 +175,10 @@ class TestVerify:
                  "--eta", "0.5")
         assert rc == 0
         assert "D=0 e=0 N=1" in capsys.readouterr().out
+
+    def test_unread_tolerance_exit_code(self, capsys):
+        # verify reads no Newton tolerance, so it refuses one
+        rc = run("verify", "--input", str(DATA / "cusp.json"),
+                 "--tol", "newton_tol=1e-2")
+        assert rc == 2
+        assert "newton_tol" in capsys.readouterr().err
