@@ -8,8 +8,10 @@ Subcommands mirror the pipeline stages:
   knot           trace the sphere slice, emit CSV polyline + braid JSON
   verify         run the full double-point / crossing-number identity check
 
-Exit codes: 0 success, 2 input validation failure, 3 sampling exhausted,
-4 identity violation, 5 slicing/braiding failure.
+Exit codes: 0 success, 2 input validation failure (a tangent plane or
+Gauss map asked for at a branch point included), 3 sampling exhausted,
+4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
+routes disagree.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from .errors import (
     BranchOnSlice,
     BranchPointInRegion,
     ConformalityViolation,
+    DegeneratePlane,
     FormulaViolation,
+    GaussCrossCheckFailure,
+    IndeterminateGauss,
     NonMonotoneFiberAngle,
     OpenCurve,
     OrderMismatch,
@@ -43,14 +48,17 @@ _EXIT_VALIDATION = 2
 _EXIT_SAMPLING = 3
 _EXIT_FORMULA = 4
 _EXIT_TRACE = 5
+_EXIT_CROSS_CHECK = 6
 
 _ERROR_CODES = [
     ((ConformalityViolation, OrderMismatch, OrderViolation,
-      BranchPointInRegion, ValueError), _EXIT_VALIDATION),
+      BranchPointInRegion, IndeterminateGauss, DegeneratePlane,
+      ValueError), _EXIT_VALIDATION),
     ((SamplingExhausted,), _EXIT_SAMPLING),
     ((FormulaViolation,), _EXIT_FORMULA),
     ((TraceFailure, OpenCurve, BranchOnSlice, NonMonotoneFiberAngle,
       PushoffCollision, ProjectionPoleOnCurve), _EXIT_TRACE),
+    ((GaussCrossCheckFailure,), _EXIT_CROSS_CHECK),
 ]
 
 
@@ -92,15 +100,20 @@ def cmd_analyze(args) -> int:
         "branch_points": [[b.real, b.imag] for b in bps],
         "conformality_residual": w.conformality_residual(),
     }
+    def fmt(g):
+        if g is None:
+            return "undefined (degenerate chart)"
+        return "inf" if g.at_infinity else [g.value.real, g.value.imag]
+
     gauss = []
     for z in (0.3, 0.3j, -0.3, 0.2 + 0.2j):
-        gp, gm = gauss_maps(w, z)
-        def fmt(g):
-            if g is None:
-                return "undefined (degenerate chart)"
-            return "inf" if g.at_infinity else [g.value.real, g.value.imag]
+        try:
+            gp, gm = map(fmt, gauss_maps(w, z))
+        except IndeterminateGauss:
+            # no tangent plane at a branch point, so neither coordinate
+            gp = gm = "undefined (branch point)"
         gauss.append({"z": [z.real, z.imag],
-                      "gamma_plus": fmt(gp), "gamma_minus": fmt(gm)})
+                      "gamma_plus": gp, "gamma_minus": gm})
     report["gauss_samples"] = gauss
     ring = 0.01 * np.exp(2j * np.pi * np.arange(32) / 32)
     report["symplectic_min_plus"] = min(symplectic_positivity(w, z, +1) for z in ring)
@@ -160,13 +173,14 @@ def cmd_knot(args) -> int:
     if args.params:
         fm = deformation.build_family_member(w, _load_params(args.params))
         w = fm.deformed
-    eta = args.eta if args.eta is not None else knot.select_eta(w)
-    k = knot.trace_slice(w, eta)
+    # the scan returns the slice it accepted, so it is traced only once
+    k = (knot.trace_slice(w, args.eta) if args.eta is not None
+         else knot.select_eta(w))
     b = knot.braid_from_knot(k)
     e = knot.stable_crossing_number(k)
     lk = knot.linking_number_gauss(k)
     report = {
-        "eta": eta,
+        "eta": k.eta,
         "n_strands": b.n_strands,
         "crossing_sum": e,
         "linking_gauss": lk,
@@ -196,7 +210,7 @@ def cmd_verify(args) -> int:
                                        orientation=_orientation(args))
     else:
         p = None
-    eta = args.eta if args.eta is not None else knot.select_eta(w)
+    eta = args.eta if args.eta is not None else knot.select_eta(w).eta
     try:
         report = knot.verify_double_point_formula(
             w, p, eta, radius=args.radius, grid_n=args.grid_n)

@@ -27,6 +27,10 @@ class IndeterminateGauss(BranchknotError):
     """Gauss map evaluated where numerator and denominator both vanish."""
 
 
+class GaussCrossCheckFailure(BranchknotError):
+    """The two routes to the Gauss map (quotient, differential) disagree."""
+
+
 # ---- deformation -----------------------------------------------------------
 
 class OrderViolation(BranchknotError):

@@ -117,26 +117,30 @@ def _level_gradient(w: WeierstrassData, z: complex):
     return float(F @ F), complex(2.0 * (F @ fx), 2.0 * (F @ fy)), F
 
 
-def _seed_on_ray(w: WeierstrassData, eta: float, phi: float,
-                 r_max: float = 0.95):
-    rs = np.linspace(1e-6, r_max, 800)
-    pts = rs * np.exp(1j * phi)
-    norms = np.linalg.norm(evaluate_F(w, pts), axis=1)
-    above = np.nonzero(norms >= eta)[0]
-    if above.size == 0:
-        return None
-    hi = above[0]
-    if hi == 0:
-        return None
-    lo = hi - 1
-    a, b = rs[lo], rs[hi]
+def _seed_on_rays(w: WeierstrassData, eta: float, rays: int) -> list:
+    """First crossing of |F| = eta on each of `rays` rays from the origin.
+
+    Each ray is scanned on an 800-point radius grid, and the first bracket
+    is refined by 80 bisection steps; all rays are bisected together, one
+    array evaluation per step.  Rays without a bracket give no seed.
+    """
+    rs = np.linspace(1e-6, 0.95, 800)
+    dirs = np.exp(1j * np.array([2.0 * math.pi * k / rays for k in range(rays)]))
+    above = np.linalg.norm(evaluate_F(w, dirs[:, None] * rs), axis=2) >= eta
+    hi = np.argmax(above, axis=1)
+    live = above.any(axis=1) & (hi > 0)
+    dirs, hi = dirs[live], hi[live]
+    a, b = rs[hi - 1], rs[hi]
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if np.linalg.norm(evaluate_F(w, mid * np.exp(1j * phi))) < eta:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b) * np.exp(1j * phi)
+        F = evaluate_F(w, mid * dirs)
+        # |F| from the per-row dot F[i] @ F[i], as np.linalg.norm(F[i])
+        # takes it: the last steps decide on the last bit of |F|, and a
+        # seed should not depend on how many rays are bisected with it
+        inside = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0]) < eta
+        a = np.where(inside, mid, a)
+        b = np.where(inside, b, mid)
+    return list(0.5 * (a + b) * dirs)
 
 
 def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
@@ -147,7 +151,10 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
 
     Seeds come from radial bisection along `rays` rays from the origin;
     every seed not lying on an already-traced loop starts a new component.
-    Samples are mapped to the unit sphere via F(z)/|F(z)|.
+    The corrector returns the level-set gradient at the point it accepts,
+    and the next predictor step takes its tangent from that gradient, so
+    each sample costs one `_level_gradient` call fewer.  Samples are
+    mapped to the unit sphere via F(z)/|F(z)|.
 
     Raises BranchOnSlice if a branch value sits near the slicing sphere,
     TraceFailure if no seed exists or the corrector diverges, and
@@ -157,23 +164,20 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
         if abs(np.linalg.norm(evaluate_F(w, bp)) - eta) < 0.05 * eta:
             raise BranchOnSlice(f"branch value within 5% of the sphere at z={bp}")
 
-    seeds = []
-    for k in range(rays):
-        s = _seed_on_ray(w, eta, 2.0 * math.pi * k / rays)
-        if s is not None:
-            seeds.append(s)
+    seeds = _seed_on_rays(w, eta, rays)
     if not seeds:
         raise TraceFailure(f"level set |F| = {eta} not found in the disk")
 
     eta2 = eta * eta
     tol = trace_tol * eta2
 
-    def correct(z: complex) -> complex:
+    def correct(z: complex):
+        """The point on the level set near z, and the gradient there."""
         for _ in range(20):
             f2, G, _ = _level_gradient(w, z)
             g = f2 - eta2
             if abs(g) <= tol:
-                return z
+                return z, G
             gn2 = abs(G) ** 2
             if gn2 < 1e-280:
                 raise TraceFailure(f"vanishing level-set gradient near z={z}")
@@ -183,14 +187,13 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
     loops: list[np.ndarray] = []
     remaining = list(seeds)
     while remaining:
-        z0 = correct(remaining.pop(0))
+        z0, G = correct(remaining.pop(0))
         h = step if step is not None else 2.0 * math.pi * abs(z0) / target_samples
         pts = [z0]
         z = z0
         tau_prev = None
         closed = False
         for _ in range(max_steps):
-            _, G, _ = _level_gradient(w, z)
             tau = 1j * G / abs(G)
             if tau_prev is None:
                 # counterclockwise start with respect to the origin
@@ -199,7 +202,7 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
             elif (np.conj(tau_prev) * tau).real < 0:
                 tau = -tau
             tau_prev = tau
-            z = correct(z + h * tau)
+            z, G = correct(z + h * tau)
             if len(pts) >= 8 and abs(z - z0) < 0.75 * h:
                 closed = True
                 break
@@ -462,12 +465,16 @@ def contact_transversality_margin(k: KnotCurve, orientation: int) -> float:
 # ---------------------------------------------------------------------------
 
 def select_eta(w: WeierstrassData, start: float = 0.1,
-               min_eta: float = 1e-5) -> float:
+               min_eta: float = 1e-5) -> KnotCurve:
     """Scan eta downward by halving until the slice braids consistently.
 
     Accepts the first eta where the winding matches N, the fiber angle is
-    monotone, and the crossing sum is stable under grid refinement.
+    monotone, and the crossing sum is stable under grid refinement, and
+    returns that slice; its `eta` is the accepted radius.  When no radius
+    down to min_eta is accepted, the TraceFailure names every eta tried
+    and what rejected it.
     """
+    rejected = []
     eta = start
     while eta >= min_eta:
         try:
@@ -475,11 +482,13 @@ def select_eta(w: WeierstrassData, start: float = 0.1,
             b = braid_from_knot(k)
             if b.n_strands == w.N:
                 stable_crossing_number(k)
-                return eta
-        except (TraceFailure, OpenCurve, NonMonotoneFiberAngle, BranchOnSlice):
-            pass
+                return k
+            rejected.append(f"{eta!r} (winding {b.n_strands} != N = {w.N})")
+        except (TraceFailure, OpenCurve, NonMonotoneFiberAngle, BranchOnSlice) as exc:
+            rejected.append(f"{eta!r} ({type(exc).__name__})")
         eta *= 0.5
-    raise TraceFailure(f"no workable slice radius found above {min_eta}")
+    raise TraceFailure(f"no workable slice radius found above {min_eta}; "
+                       f"tried eta = {', '.join(rejected)}")
 
 
 @dataclass

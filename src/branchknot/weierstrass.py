@@ -28,6 +28,7 @@ from .cpoly import CPoly
 from .errors import (
     ConformalityViolation,
     DegeneratePlane,
+    GaussCrossCheckFailure,
     IndeterminateGauss,
     OrderMismatch,
 )
@@ -327,7 +328,8 @@ def gauss_maps(w: WeierstrassData, z: complex, cross_check_tol: float = 1e-10):
 
     The first coordinate is cross-validated against the quotient of the
     complexified differentials (phi3 + i phi4) / (phi1 - i phi2) wherever
-    the latter is well-conditioned.
+    the latter is well-conditioned; GaussCrossCheckFailure is raised when
+    the two differ by more than cross_check_tol.
     """
     scale = w.coeff_scale()
 
@@ -351,6 +353,6 @@ def gauss_maps(w: WeierstrassData, z: complex, cross_check_tol: float = 1e-10):
             gp_phi = GaussValue.from_quotient(num, den, scale)
             d = gp.chordal_distance(gp_phi)
             if d > cross_check_tol:
-                raise AssertionError(
+                raise GaussCrossCheckFailure(
                     f"gauss map cross-check failed at z={z}: chordal distance {d:.3e}")
     return gp, gm

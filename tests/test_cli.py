@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from branchknot import cli
+from branchknot import cli, knot
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -48,6 +48,31 @@ class TestAnalyze:
         rc = run("analyze", "--input", str(DATA / "cusp.json"), "--json",
                  "--tol", "conf-tol=1e-9")
         assert rc == 0
+
+
+    def test_second_branch_point_on_a_gauss_sample(self, tmp_path, capsys):
+        # f1' = 2z(z - 0.3), f3' = 3z^2(z - 0.3): a second branch point at
+        # z = 0.3, one of the Gauss sample points
+        data = tmp_path / "two_branch_points.json"
+        data.write_text(json.dumps({"fprime": [
+            [[0, 0], [-0.6, 0], [2, 0]], [],
+            [[0, 0], [0, 0], [-0.9, 0], [3, 0]], []]}))
+        rc = run("analyze", "--input", str(data), "--json")
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["branch_points"]) == 2
+        at_bp = report["gauss_samples"][0]
+        assert at_bp["z"] == [0.3, 0.0]
+        assert at_bp["gamma_plus"] == at_bp["gamma_minus"] == "undefined (branch point)"
+
+    def test_gauss_cross_check_exit_code(self, monkeypatch, capsys):
+        # a cross-check that always fails stands in for disagreeing routes
+        real = cli.gauss_maps
+        monkeypatch.setattr(cli, "gauss_maps",
+                            lambda w, z: real(w, z, cross_check_tol=-1.0))
+        rc = run("analyze", "--input", str(DATA / "cusp.json"))
+        assert rc == 6
+        assert "GaussCrossCheckFailure" in capsys.readouterr().err
 
 
 class TestDeform:
@@ -150,6 +175,23 @@ class TestKnot:
                  "--eta", "0.14", "--out-dir", str(tmp_path))
         assert rc == 5
         assert "NonMonotoneFiberAngle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", [[], ["--eta", "0.01"]])
+    def test_traces_the_slice_once(self, eta, tmp_path, monkeypatch, capsys):
+        # with or without --eta, the slice the report uses is the one traced
+        calls = 0
+        real = knot.trace_slice
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(knot, "trace_slice", counted)
+        rc = run("knot", "--input", str(DATA / "cusp.json"), *eta,
+                 "--out-dir", str(tmp_path))
+        assert rc == 0
+        assert calls == 1
 
     def test_sampling_flag_refused(self, capsys):
         # knot reads --params only; --t is neither its flag nor --tol

@@ -37,6 +37,55 @@ class TestLinkingSum:
         assert abs(_kernels.linking_sum(c1, c2)) < 1e-10
 
 
+def _row_loop_linking_sum(P, Q):
+    """The original row-by-row linking sum, kept as the reference."""
+    n = P.shape[0]
+    Pn = np.vstack([P, P[:1]])
+    Qn = np.vstack([Q, Q[:1]])
+    total = 0.0
+    for i in range(n):
+        a = Pn[i] - Qn[:-1]
+        b = Pn[i] - Qn[1:]
+        c = Pn[i + 1] - Qn[1:]
+        d = Pn[i + 1] - Qn[:-1]
+        p = np.einsum("ij,ij->i", a, np.cross(b, c))
+        an, bn, cn, dn = (np.linalg.norm(v, axis=1) for v in (a, b, c, d))
+        ab = np.einsum("ij,ij->i", a, b)
+        bc = np.einsum("ij,ij->i", b, c)
+        ca = np.einsum("ij,ij->i", c, a)
+        ad = np.einsum("ij,ij->i", a, d)
+        dc = np.einsum("ij,ij->i", d, c)
+        d1 = an * bn * cn + ab * cn + bc * an + ca * bn
+        d2 = an * dn * cn + ad * cn + dc * an + ca * dn
+        total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
+    return total / (2.0 * np.pi)
+
+
+class TestLinkingSumBlocks:
+    """The blocked difference-grid kernel against the row loop."""
+
+    B = _kernels.LINK_BLOCK
+
+    @pytest.mark.parametrize("n, m", [(3 * B + 5, 2 * B - 3),   # not a multiple
+                                      (B // 2, 3 * B + 1),      # under one block
+                                      (2 * B, B + 7),           # whole blocks
+                                      (B + 1, 4)])
+    def test_matches_row_loop_on_random_polylines(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        P = np.cumsum(rng.standard_normal((n, 3)), axis=0)
+        Q = np.cumsum(rng.standard_normal((m, 3)), axis=0)
+        assert _kernels.linking_sum(P, Q) == pytest.approx(
+            _row_loop_linking_sum(P, Q), abs=1e-12)
+
+    def test_matches_row_loop_on_linked_pair(self):
+        # a linked pair, so the sum is not just cancellation around zero
+        c1 = _circle([0, 0, 0], 2, 1.0, n=3 * self.B + 11)
+        c2 = _circle([1, 0, 0], 1, 1.0, n=150)
+        ref = _row_loop_linking_sum(c1, c2)
+        assert abs(abs(ref) - 1.0) < 1e-6
+        assert _kernels.linking_sum(c1, c2) == pytest.approx(ref, abs=1e-12)
+
+
 class TestNewtonKernel:
     def test_converges_to_known_pair(self):
         # f = (z^2, 0, z^3 - 3 t^2 z, 0): the double point is z = +-sqrt(3) t

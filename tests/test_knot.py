@@ -13,6 +13,7 @@ from branchknot.errors import (
     PushoffCollision,
     TraceFailure,
 )
+from branchknot import knot as knot_module
 from branchknot.knot import KnotCurve
 
 
@@ -57,6 +58,21 @@ class TestTraceSlice:
         eta_hit = float(np.linalg.norm(bk.evaluate_F(w, a)))
         with pytest.raises(BranchOnSlice):
             bk.trace_slice(w, eta_hit)
+
+    def test_one_gradient_per_predictor_and_corrector_step(self, cusp, monkeypatch):
+        # the predictor takes its tangent from the gradient the corrector
+        # accepted, so a sample costs three gradients, not four
+        calls = 0
+        real = knot_module._level_gradient
+
+        def counted(w, z):
+            nonlocal calls
+            calls += 1
+            return real(w, z)
+
+        monkeypatch.setattr(knot_module, "_level_gradient", counted)
+        k = bk.trace_slice(cusp, 1e-2)
+        assert calls <= 3.05 * k.samples.shape[0]
 
     def test_csv_export(self, flat_knot):
         text = flat_knot.csv_text()
@@ -156,16 +172,23 @@ class TestContactMargin:
 
 class TestEtaSelection:
     def test_cusp_accepts_first_braidable(self, cusp):
-        eta = bk.select_eta(cusp, start=0.1)
-        assert eta == 0.1  # every radius braids for an exact complex curve
+        k = bk.select_eta(cusp, start=0.1)
+        assert k.eta == 0.1  # every radius braids for an exact complex curve
+        assert np.array_equal(k.samples, bk.trace_slice(cusp, k.eta).samples)
 
     def test_strong_mixing_scans_down(self):
         w = bk.load([CPoly([0, 1]), CPoly([0, 0, 0, -8]),
                      CPoly([0, 0, 1]), CPoly([0, 0, 8])])
-        eta = bk.select_eta(w, start=0.2)
-        assert eta < 0.2
-        k = bk.trace_slice(w, eta)
+        k = bk.select_eta(w, start=0.2)
+        assert k.eta < 0.2
+        assert np.array_equal(k.samples, bk.trace_slice(w, k.eta).samples)
         bk.braid_from_knot(k)
+
+    def test_failure_names_every_eta_tried(self, cusp):
+        with pytest.raises(TraceFailure) as exc:
+            bk.select_eta(cusp, start=5.0, min_eta=2.0)
+        msg = str(exc.value)
+        assert "5.0 (TraceFailure)" in msg and "2.5 (TraceFailure)" in msg
 
 
 class TestVerify:

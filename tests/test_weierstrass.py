@@ -8,6 +8,7 @@ from branchknot.cpoly import CPoly
 from branchknot.errors import (
     ConformalityViolation,
     DegeneratePlane,
+    GaussCrossCheckFailure,
     IndeterminateGauss,
     OrderMismatch,
 )
@@ -197,6 +198,10 @@ class TestGaussMaps:
         for _ in range(100):
             z = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
             bk.gauss_maps(ex4, z)
+
+    def test_cross_check_failure_is_named(self, ex4):
+        with pytest.raises(GaussCrossCheckFailure):
+            bk.gauss_maps(ex4, 0.5, cross_check_tol=-1.0)
 
     def test_indeterminate_at_branch_point(self, ex4):
         with pytest.raises(IndeterminateGauss):
