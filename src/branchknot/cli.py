@@ -9,9 +9,10 @@ Subcommands mirror the pipeline stages:
   verify         run the full double-point / crossing-number identity check
 
 Exit codes: 0 success, 2 input validation failure (a tangent plane or
-Gauss map asked for at a branch point included), 3 sampling exhausted,
-4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
-routes disagree.
+Gauss map asked for at a branch point, a search region outside
+0 < radius <= 0.9 or with grid-n < 3, and a tolerance that is not finite
+and positive included), 3 sampling exhausted, 4 identity violation,
+5 slicing/braiding failure, 6 the two Gauss-map routes disagree.
 """
 
 from __future__ import annotations
@@ -210,10 +211,9 @@ def cmd_verify(args) -> int:
                                        orientation=_orientation(args))
     else:
         p = None
-    eta = args.eta if args.eta is not None else knot.select_eta(w).eta
     try:
         report = knot.verify_double_point_formula(
-            w, p, eta, radius=args.radius, grid_n=args.grid_n)
+            w, p, args.eta, radius=args.radius, grid_n=args.grid_n)
     except FormulaViolation as exc:
         if exc.report is not None:
             r = exc.report
@@ -253,8 +253,8 @@ def _parse_tol(items, command: str) -> dict:
             raise ValueError(f"unknown tolerance {name!r} for {command}; "
                              f"accepted: {', '.join(names)}")
         v = float(value)
-        if v <= 0:
-            raise ValueError(f"tolerance {name} must be positive")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"tolerance {name} must be finite and positive")
         out[key] = v
     return out
 

@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["CPoly"]
 
+_ROOT_RESIDUAL_TOL = 1e-6
+
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=np.complex128).ravel()
@@ -42,14 +44,15 @@ class CPoly:
         return cls(np.zeros(0, np.complex128))
 
     @classmethod
-    def monomial(cls, k: int, c: complex = 1.0) -> "CPoly":
+    def monomial(cls, k: int) -> "CPoly":
         a = np.zeros(k + 1, np.complex128)
-        a[k] = c
+        a[k] = 1.0
         return cls(a)
 
     @classmethod
-    def from_roots(cls, roots, leading: complex = 1.0) -> "CPoly":
-        p = cls([leading])
+    def from_roots(cls, roots) -> "CPoly":
+        """The monic polynomial with these roots."""
+        p = cls([1.0])
         for r in roots:
             p = p * cls([-r, 1.0])
         return p
@@ -155,29 +158,28 @@ class CPoly:
             raise ValueError(f"polynomial not divisible by z^{k}")
         return CPoly(self.coeffs[k:])
 
-    def roots(self, residual_tol: float = 1e-6, polish: bool = True) -> np.ndarray:
+    def roots(self) -> np.ndarray:
         """All complex roots with multiplicity (companion-matrix eigenvalues).
 
-        Raises ValueError for constant or zero input; verifies the residual
-        |p(r)| <= residual_tol * (1 + max|coeff|) for every root.
+        The eigenvalues are polished by two Newton steps.  Raises ValueError
+        for constant or zero input; verifies the residual
+        |p(r)| <= _ROOT_RESIDUAL_TOL * (1 + max|coeff|) for every root.
         """
         if self.degree < 1:
             raise ValueError("roots() requires degree >= 1")
         rts = np.roots(self.coeffs[::-1])
-        if polish:
-            dp = self.derivative()
-            for _ in range(2):
-                pv = self(rts)
-                dv = dp(rts)
-                ok = np.abs(dv) > 1e-14 * (1.0 + np.abs(pv))
-                step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
-                rts = rts - step
+        dp = self.derivative()
+        for _ in range(2):
+            pv = self(rts)
+            dv = dp(rts)
+            ok = np.abs(dv) > 1e-14 * (1.0 + np.abs(pv))
+            step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
+            rts = rts - step
         scale = 1.0 + self.max_abs_coeff()
         res = np.abs(self(rts))
-        if np.any(res > residual_tol * scale):
-            raise ValueError(
-                f"root residual {res.max():.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
-            )
+        if np.any(res > _ROOT_RESIDUAL_TOL * scale):
+            raise ValueError(f"root residual {res.max():.3e} exceeds "
+                             f"{_ROOT_RESIDUAL_TOL:.1e} * {scale:.3e}")
         return rts
 
     def __repr__(self):

@@ -13,8 +13,10 @@ data by
     h1 = (z^n1 + sum a_i z^i) g1        h2 = z^(n2-n4) (z^n4 + sum b_i z^i) g2
     h3 = z^(n3-n1) (z^n1 + sum a_i z^i) g3    h4 = (z^n4 + sum b_i z^i) g4
 
-Both keep h1*h2 + h3*h4 = 0 exactly (in coefficient arithmetic up to
-roundoff), so every member is again valid minimal-disk data.  A = B = 0
+The - recipe is the + recipe with slots 3 and 4 exchanged: one of them
+takes the factor in b, the other the shifted factor in a.  Both keep
+h1*h2 + h3*h4 = 0 exactly (in coefficient arithmetic up to roundoff),
+so every member is again valid minimal-disk data.  A = B = 0
 reproduces the base map coefficient-for-coefficient.  The + recipe leaves
 the first sphere coordinate of the tangent-plane map untouched, the -
 recipe the second one.
@@ -161,6 +163,14 @@ def _monic_factor(n: int, coeffs: np.ndarray) -> CPoly:
     return CPoly.monomial(n) + CPoly(coeffs)
 
 
+def _pb_slot(base: WeierstrassData, orientation: int) -> int:
+    """Index of the slot whose factor is PB: 2 (f3') for orientation + and
+    for complex-curve data, 3 (f4') for orientation -.  The other slot of
+    the second pair takes the shifted PA."""
+    reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
+    return 2 if (reduced or orientation > 0) else 3
+
+
 def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
     """Assemble one family member from base data and parameters.
 
@@ -174,47 +184,32 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
     g = tuple(base.fprime[i].shift_down(base.orders[i])
               if not base.fprime[i].is_zero else CPoly.zero()
               for i in range(4))
-    n1, n2, n3, n4 = base.orders
+    n = base.orders
     reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
-
+    ib = _pb_slot(base, p.orientation)
+    ia = 5 - ib
     if reduced:
-        PA = _monic_factor(n1, p.A)
-        PB = _monic_factor(n3, p.B)
-        h = (PA * g[0], CPoly.zero(), PB * g[2], CPoly.zero())
-        det_polys = (g[0].antiderivative(), CPoly.zero(),
-                     CPoly.zero(), g[2].antiderivative())
-    elif p.orientation > 0:
-        e2, e4 = n2 - n3, n4 - n1
-        if e2 < 0 or e4 < 0:
-            raise OrderViolation(f"shift exponents negative: n2-n3={e2}, n4-n1={e4}")
-        if e2 == 0 or e4 == 0:
-            warnings.warn("shift exponent is zero; the quadratic lower bound "
-                          "for the pair-separation determinant is not "
-                          "guaranteed", stacklevel=2)
-        PA = _monic_factor(n1, p.A)
-        PB = _monic_factor(n3, p.B)
-        h = (PA * g[0], CPoly.monomial(e2) * PB * g[1],
-             PB * g[2], CPoly.monomial(e4) * PA * g[3])
-        det_polys = (g[0].antiderivative(),
-                     (CPoly.monomial(e4) * g[3]).antiderivative(),
-                     (CPoly.monomial(e2) * g[1]).antiderivative(),
-                     g[2].antiderivative())
+        # the shifted factors multiply the zero components g2 = g4 = 0
+        eb = ea = 0
     else:
-        e2, e3 = n2 - n4, n3 - n1
-        if e2 < 0 or e3 < 0:
-            raise OrderViolation(f"shift exponents negative: n2-n4={e2}, n3-n1={e3}")
-        if e2 == 0 or e3 == 0:
+        eb, ea = n[1] - n[ib], n[ia] - n[0]
+        if eb < 0 or ea < 0:
+            raise OrderViolation(f"shift exponents negative: n2-n{ib + 1}={eb}, "
+                                 f"n{ia + 1}-n1={ea}")
+        if eb == 0 or ea == 0:
             warnings.warn("shift exponent is zero; the quadratic lower bound "
                           "for the pair-separation determinant is not "
                           "guaranteed", stacklevel=2)
-        PA = _monic_factor(n1, p.A)
-        PB = _monic_factor(n4, p.B)
-        h = (PA * g[0], CPoly.monomial(e2) * PB * g[1],
-             CPoly.monomial(e3) * PA * g[2], PB * g[3])
-        det_polys = (g[0].antiderivative(),
-                     (CPoly.monomial(e3) * g[2]).antiderivative(),
-                     (CPoly.monomial(e2) * g[1]).antiderivative(),
-                     g[3].antiderivative())
+    PA = _monic_factor(n[0], p.A)
+    PB = _monic_factor(n[ib], p.B)
+    h = [PA * g[0], CPoly.monomial(eb) * PB * g[1], None, None]
+    h[ib] = PB * g[ib]
+    h[ia] = CPoly.monomial(ea) * PA * g[ia]
+    h = tuple(h)
+    det_polys = (g[0].antiderivative(),
+                 (CPoly.monomial(ea) * g[ia]).antiderivative(),
+                 (CPoly.monomial(eb) * g[1]).antiderivative(),
+                 g[ib].antiderivative())
 
     deformed = load(h, conf_tol=1e-12)
     return FamilyMember(base=base, params=p, h=h, deformed=deformed,
@@ -225,47 +220,47 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
 # genericity
 # ---------------------------------------------------------------------------
 
-def check_X1(p: PerturbParams, w: WeierstrassData,
-             root_sep_tol: float = 1e-6) -> bool:
+_ROOT_SEP_TOL = 1e-6
+_MAX_DRAWS = 1000
+
+
+def check_X1(p: PerturbParams, w: WeierstrassData) -> bool:
     """True iff the two monic perturbation factors have simple nonzero roots.
 
-    Distinctness is pooled across both factors: a shared root would be a
-    common zero of all four deformed components, i.e. a branch point.
+    Roots within _ROOT_SEP_TOL of 0 or of each other fail.  Distinctness
+    is pooled across both factors: a shared root would be a common zero of
+    all four deformed components, i.e. a branch point.
     """
     base, _ = relabel_orders(w)
-    n1, _, n3, n4 = base.orders
-    reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
-    nb = n3 if (reduced or p.orientation > 0) else n4
     roots = []
-    for n, vec in ((n1, p.A), (nb, p.B)):
+    for n, vec in ((base.orders[0], p.A),
+                   (base.orders[_pb_slot(base, p.orientation)], p.B)):
         poly = _monic_factor(n, vec)
         if poly.degree >= 1:
             roots.extend(poly.roots())
     for i, r in enumerate(roots):
-        if abs(r) <= root_sep_tol:
+        if abs(r) <= _ROOT_SEP_TOL:
             return False
         for s in roots[i + 1:]:
-            if abs(r - s) <= root_sep_tol:
+            if abs(r - s) <= _ROOT_SEP_TOL:
                 return False
     return True
 
 
 def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
-                   orientation: int = +1, radius: float = 0.5,
-                   grid_n: int = 32, max_tries: int = 1000) -> PerturbParams:
+                   orientation: int = +1) -> PerturbParams:
     """Draw parameters of size <= t passing the rejection battery.
 
     A draw is accepted when the monic factors have simple nonzero roots,
-    the deformed map has no branch point in |z| <= 0.9, and every double
-    point the finder reports is transverse.  Deterministic for a fixed
-    seed.  Raises SamplingExhausted when t <= 0 or the budget runs out.
+    the deformed map has no branch point in the unit disk, and every
+    double point the grid-32 search finds in |z| <= 0.5 is transverse.
+    Deterministic for a fixed seed.  Raises SamplingExhausted when t <= 0
+    or no draw of the _MAX_DRAWS passes.
     """
     if t <= 0.0:
         raise SamplingExhausted("perturbation scale t must be positive")
     base, _ = relabel_orders(w)
-    n1, _, n3, n4 = base.orders
-    reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
-    nb = n3 if (reduced or orientation > 0) else n4
+    na, nb = base.orders[0], base.orders[_pb_slot(base, orientation)]
 
     rng = np.random.default_rng(rng_seed)
 
@@ -275,8 +270,8 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
         r = t * rng.uniform() ** (1.0 / (2 * dim_c))
         return (v[:dim_c] + 1j * v[dim_c:]) * r
 
-    for _ in range(max_tries):
-        p = PerturbParams(A=ball(n1 + 1), B=ball(nb + 1),
+    for _ in range(_MAX_DRAWS):
+        p = PerturbParams(A=ball(na + 1), B=ball(nb + 1),
                           orientation=orientation, t=t)
         if not check_X1(p, w):
             continue
@@ -284,12 +279,12 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
         if branch_points(fm.deformed):
             continue
         try:
-            dps = find_double_points(fm.deformed, radius=radius, grid_n=grid_n)
+            dps = find_double_points(fm.deformed, radius=0.5, grid_n=32)
         except BranchPointInRegion:
             continue
         if all(is_transverse(dp, fm.deformed) for dp in dps):
             return p
-    raise SamplingExhausted(f"no generic parameters found in {max_tries} draws "
+    raise SamplingExhausted(f"no generic parameters found in {_MAX_DRAWS} draws "
                             f"at scale t={t}")
 
 

@@ -31,6 +31,12 @@ __all__ = ["DoublePoint", "find_double_points", "is_transverse",
 
 log = logging.getLogger(__name__)
 
+# find_double_points: a converged pair closer than _PAIR_SEP_TOL is on
+# the diagonal, and pairs within _DEDUP_TOL are one double point
+_SEED_SEP = 3.0
+_PAIR_SEP_TOL = 1e-5
+_DEDUP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DoublePoint:
@@ -70,27 +76,28 @@ def _frame_det(w: WeierstrassData, z1: complex, z2: complex) -> float:
 
 
 def find_double_points(w: WeierstrassData, radius: float = 0.5,
-                       grid_n: int = 48, newton_tol: float = 1e-12,
-                       pair_sep_tol: float = 1e-5, dedup_tol: float = 1e-6,
-                       max_iter: int = 50, coarse_factor: float = 4.0,
-                       seed_sep_factor: float = 3.0) -> list[DoublePoint]:
+                       grid_n: int = 48,
+                       newton_tol: float = 1e-12) -> list[DoublePoint]:
     """All double points of F with both preimages in |z| <= radius.
 
     Takes every grid pair whose images are closer than a coarse threshold
     (scaled by the local differential size) and whose preimages are more
-    than seed_sep_factor grid spacings apart.  These pairs are bucketed by
-    the unordered pair of square preimage cells (side seed_sep_factor
-    spacings) holding their two points, and only the pair of smallest
-    image mismatch in each bucket seeds damped Newton iteration.
-    Converged pairs are filtered against the diagonal, deduplicated under
-    the pair swap, and returned in canonical order.
+    than _SEED_SEP grid spacings apart.  These pairs are bucketed by the
+    unordered pair of square preimage cells (side _SEED_SEP spacings)
+    holding their two points, and only the pair of smallest image
+    mismatch in each bucket seeds damped Newton iteration.  Converged
+    pairs are filtered against the diagonal, deduplicated under the pair
+    swap, and returned in canonical order.
 
-    Raises BranchPointInRegion when the search disk contains a branch
-    point (the Newton system is singular there and the count is not
-    well-defined for a non-immersed map).
+    Raises ValueError unless 0 < radius <= 0.9 and grid_n >= 3, and
+    BranchPointInRegion when the search disk contains a branch point (the
+    Newton system is singular there and the count is not well-defined for
+    a non-immersed map).
     """
-    if radius > 0.9:
-        raise ValueError("radius must be <= 0.9")
+    if not 0.0 < radius <= 0.9:
+        raise ValueError(f"radius must be in (0, 0.9], got {radius!r}")
+    if grid_n < 3:
+        raise ValueError(f"grid_n must be >= 3, got {grid_n!r}")
     bps = [b for b in branch_points(w) if abs(b) <= radius]
     if bps:
         raise BranchPointInRegion(f"branch points in search disk: {bps}")
@@ -103,10 +110,10 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     gscale = float(np.percentile(jnorm, 90)) or 1.0
 
     tree = cKDTree(img)
-    pairs = tree.query_pairs(coarse_factor * spacing * gscale, output_type="ndarray")
+    pairs = tree.query_pairs(4.0 * spacing * gscale, output_type="ndarray")
     if pairs.size == 0:
         return []
-    cell = max(seed_sep_factor * spacing, 5 * pair_sep_tol)
+    cell = max(_SEED_SEP * spacing, 5 * _PAIR_SEP_TOL)
     sep = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]])
     pairs = pairs[sep > cell]
     if pairs.size == 0:
@@ -116,16 +123,17 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     log.debug("double-point search: %d proximity pairs thinned to %d seeds",
               n_prox, len(pairs))
 
+    # at most 50 damped Newton steps per seed
     z1, z2, resid, ok = _kernels.newton_double_points(
-        pts[pairs[:, 0]], pts[pairs[:, 1]], w, newton_tol, max_iter)
+        pts[pairs[:, 0]], pts[pairs[:, 1]], w, newton_tol, 50)
     n_fail = int((~ok).sum())
     if n_fail:
         log.debug("double-point search: %d seeds did not converge", n_fail)
 
     keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
-            & (np.abs(z1 - z2) >= pair_sep_tol))
+            & (np.abs(z1 - z2) >= _PAIR_SEP_TOL))
     out = []
-    for a, b, r in _merge_pairs(z1[keep], z2[keep], resid[keep], dedup_tol):
+    for a, b, r in _merge_pairs(z1[keep], z2[keep], resid[keep], _DEDUP_TOL):
         image = 0.5 * (evaluate_F(w, a) + evaluate_F(w, b))
         out.append(DoublePoint(z1=a, z2=b, image=image, residual=r,
                                transversality_det=_frame_det(w, a, b)))
@@ -175,8 +183,7 @@ def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,
     return merged
 
 
-def is_transverse(dp: DoublePoint, w: WeierstrassData,
-                  det_tol: float = 1e-6) -> bool:
+def is_transverse(dp: DoublePoint, w: WeierstrassData) -> bool:
     """True iff the two tangent planes at the double point span R^4.
 
     The raw 4x4 determinant is normalized by the product of the column
@@ -189,12 +196,12 @@ def is_transverse(dp: DoublePoint, w: WeierstrassData,
     denom = float(np.prod(norms))
     if denom == 0.0:
         return False
-    return abs(float(np.linalg.det(cols))) > det_tol * denom
+    return abs(float(np.linalg.det(cols))) > 1e-6 * denom
 
 
 def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
-                              fine_n: int = 400, prox: float | None = None,
-                              cluster_factor: float = 5.0) -> int:
+                              fine_n: int = 400,
+                              prox: float | None = None) -> int:
     """Independent double-point count by exhaustive grid proximity scan.
 
     Registers grid pairs whose images are closer than a proximity cutoff
@@ -296,7 +303,7 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
             x = parent[x]
         return x
 
-    r_c = cluster_factor * spacing
+    r_c = 5.0 * spacing
     for i in range(k):
         ai, bi = minima[i][0], minima[i][1]
         for j in range(i + 1, k):

@@ -110,6 +110,9 @@ class BraidDiagram:
 # level-set tracing
 # ---------------------------------------------------------------------------
 
+_LOOP_SAMPLES = 2048
+
+
 def _level_gradient(w: WeierstrassData, z: complex):
     """|F(z)|^2, its gradient packed as a complex number, and F(z)."""
     F = evaluate_F(w, z)
@@ -143,18 +146,18 @@ def _seed_on_rays(w: WeierstrassData, eta: float, rays: int) -> list:
     return list(0.5 * (a + b) * dirs)
 
 
-def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
-                rays: int = 32, trace_tol: float = 1e-12,
-                target_samples: int = 2048,
+def trace_slice(w: WeierstrassData, eta: float,
                 max_steps: int = 200000) -> KnotCurve:
     """Trace {z : |F(z)| = eta} by predictor-corrector continuation.
 
-    Seeds come from radial bisection along `rays` rays from the origin;
-    every seed not lying on an already-traced loop starts a new component.
-    The corrector returns the level-set gradient at the point it accepts,
-    and the next predictor step takes its tangent from that gradient, so
-    each sample costs one `_level_gradient` call fewer.  Samples are
-    mapped to the unit sphere via F(z)/|F(z)|.
+    Seeds come from radial bisection along 32 rays from the origin; every
+    seed not lying on an already-traced loop starts a new component.  The
+    step is 1/_LOOP_SAMPLES of the circle through the loop's seed, and the
+    corrector stops at |F|^2 within 1e-12 * eta^2 of eta^2.  It returns
+    the level-set gradient at the point it accepts, and the next predictor
+    step takes its tangent from that gradient, so each sample costs one
+    `_level_gradient` call fewer.  Samples are mapped to the unit sphere
+    via F(z)/|F(z)|.
 
     Raises BranchOnSlice if a branch value sits near the slicing sphere,
     TraceFailure if no seed exists or the corrector diverges, and
@@ -164,12 +167,12 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
         if abs(np.linalg.norm(evaluate_F(w, bp)) - eta) < 0.05 * eta:
             raise BranchOnSlice(f"branch value within 5% of the sphere at z={bp}")
 
-    seeds = _seed_on_rays(w, eta, rays)
+    seeds = _seed_on_rays(w, eta, 32)
     if not seeds:
         raise TraceFailure(f"level set |F| = {eta} not found in the disk")
 
     eta2 = eta * eta
-    tol = trace_tol * eta2
+    tol = 1e-12 * eta2
 
     def correct(z: complex):
         """The point on the level set near z, and the gradient there."""
@@ -188,7 +191,7 @@ def trace_slice(w: WeierstrassData, eta: float, step: float | None = None,
     remaining = list(seeds)
     while remaining:
         z0, G = correct(remaining.pop(0))
-        h = step if step is not None else 2.0 * math.pi * abs(z0) / target_samples
+        h = 2.0 * math.pi * abs(z0) / _LOOP_SAMPLES
         pts = [z0]
         z = z0
         tau_prev = None
@@ -302,12 +305,14 @@ def algebraic_crossing_number(b: BraidDiagram) -> int:
     return int(sum(c[3] for c in b.crossings))
 
 
-def stable_crossing_number(k: KnotCurve, start_angles: int = 1024,
-                           max_angles: int = 32768) -> int:
-    """Crossing sum at the first grid resolution stable across two doublings."""
-    angles = start_angles
+def stable_crossing_number(k: KnotCurve) -> int:
+    """Crossing sum at the first grid resolution stable across two doublings.
+
+    The grid starts at 1024 fiber angles and doubles up to 32768.
+    """
+    angles = 1024
     values = []
-    while angles <= max_angles:
+    while angles <= 32768:
         values.append(algebraic_crossing_number(braid_from_knot(k, angles)))
         if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return values[-1]
@@ -382,8 +387,8 @@ def _stereographic(x: np.ndarray, pole: np.ndarray, frame: np.ndarray) -> np.nda
     return (x @ frame) / denom[:, None]
 
 
-def linking_number_gauss(k: KnotCurve, pushoff_delta: float | None = None,
-                         samples: int = 1500, rng_seed: int = 7) -> float:
+def linking_number_gauss(k: KnotCurve,
+                         pushoff_delta: float | None = None) -> float:
     """Linking number of the slice with its diagram-framing pushoff.
 
     The pushoff displaces every sample by delta in one fixed direction of
@@ -395,7 +400,7 @@ def linking_number_gauss(k: KnotCurve, pushoff_delta: float | None = None,
     """
     if len(k.components) != 1:
         raise ValueError("linking number implemented for single-component slices")
-    q = _resample_closed(k.samples, samples)
+    q = _resample_closed(k.samples, 1500)
 
     if pushoff_delta is None:
         gap = _min_strand_gap(k)
@@ -417,7 +422,7 @@ def linking_number_gauss(k: KnotCurve, pushoff_delta: float | None = None,
         raise PushoffCollision(
             f"pushoff clearance {clearance:.2e} too small for delta={delta:.2e}")
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(7)
     poles = rng.standard_normal((256, 4))
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
     both = np.vstack([q, qhat])
@@ -524,20 +529,23 @@ class VerifyReport:
 
 
 def verify_double_point_formula(w_base: WeierstrassData,
-                                p: PerturbParams | None, eta: float,
-                                radius: float = 0.5, grid_n: int = 48,
-                                raise_on_violation: bool = True) -> VerifyReport:
+                                p: PerturbParams | None,
+                                eta: float | None = None,
+                                radius: float = 0.5,
+                                grid_n: int = 48) -> VerifyReport:
     """Count double points, compute knot invariants, check 2D = e - (N-1).
 
     D counts the double points of the perturbed map whose image lies
     inside the eta-ball; e and N come from the base map's slice at eta;
     the perturbed map is re-sliced to confirm the crossing sum is
-    unchanged.  With p=None the base map itself is used (it must then be
-    an immersion), which covers unbranched control data.
+    unchanged.  With eta=None the radius is the one select_eta accepts on
+    the base map, and the slice it returns is the base slice.  With p=None
+    the base map itself is used (it must then be an immersion), which
+    covers unbranched control data.
 
-    Raises FormulaViolation (with the report attached) when the identity
-    fails, when the two crossing-count routes disagree, or when the
-    perturbed slice changes its crossing sum.
+    Raises FormulaViolation (with the report attached, the message as its
+    last note) when the identity fails, when the two crossing-count routes
+    disagree, or when the perturbed slice changes its crossing sum.
     """
     notes = []
     deformed = w_base
@@ -551,10 +559,12 @@ def verify_double_point_formula(w_base: WeierstrassData,
         notes.append(f"double point near search boundary; enlarged radius to "
                      f"{radius * 1.5}")
         dps = find_double_points(deformed, radius=radius * 1.5, grid_n=grid_n)
+
+    k_base = select_eta(w_base) if eta is None else trace_slice(w_base, eta)
+    eta = k_base.eta
     in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
     D = len(in_ball)
 
-    k_base = trace_slice(w_base, eta)
     b = braid_from_knot(k_base)
     e = stable_crossing_number(k_base)
     lk = linking_number_gauss(k_base)
@@ -567,30 +577,27 @@ def verify_double_point_formula(w_base: WeierstrassData,
                       -1: contact_transversality_margin(k_base, -1)},
         eta=eta, double_points=dps, notes=notes)
 
-    def fail(msg: str):
-        report.notes.append(msg)
-        if raise_on_violation:
-            raise FormulaViolation(msg, report)
-
+    violation = None
     if b.n_strands != N:
-        fail(f"slice winding {b.n_strands} != N = {N}")
-    if abs(lk - round(lk)) > 0.1 or int(round(lk)) != e:
-        fail(f"crossing-count routes disagree: braid {e}, gauss {lk:.3f}")
-    if not report.identity_ok:
-        fail(f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}")
-
-    if p is not None:
+        violation = f"slice winding {b.n_strands} != N = {N}"
+    elif abs(lk - round(lk)) > 0.1 or int(round(lk)) != e:
+        violation = f"crossing-count routes disagree: braid {e}, gauss {lk:.3f}"
+    elif not report.identity_ok:
+        violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
+    elif p is not None:
         k_t = trace_slice(deformed, eta)
         report.e_deformed = stable_crossing_number(k_t)
         report.isotopy_ok = (report.e_deformed == e)
         if not report.isotopy_ok:
-            fail(f"perturbed slice crossing sum {report.e_deformed} != {e}")
+            violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
+    if violation is not None:
+        report.notes.append(violation)
+        raise FormulaViolation(violation, report)
     return report
 
 
 def orientation_identity_report(w_base: WeierstrassData, p: PerturbParams,
-                                eta: float, radius: float = 0.35,
-                                grid_n: int = 40) -> dict:
+                                eta: float) -> dict:
     """Documented outcome for the second-orientation double-point identity.
 
     The sign convention tying the crossing sum to the second-orientation
@@ -603,7 +610,7 @@ def orientation_identity_report(w_base: WeierstrassData, p: PerturbParams,
     if p.orientation >= 0:
         raise ValueError("expected orientation -1 parameters")
     fm = build_family_member(w_base, p)
-    dps = find_double_points(fm.deformed, radius=radius, grid_n=grid_n)
+    dps = find_double_points(fm.deformed, radius=0.35, grid_n=40)
     in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
     transverse = [dp for dp in dps if is_transverse(dp, fm.deformed)]
     D = len(in_ball)

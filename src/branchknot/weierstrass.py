@@ -213,10 +213,13 @@ class WeierstrassData:
 def load(fprime, conf_tol: float = 1e-10) -> WeierstrassData:
     """Validate derivative data and cache orders, primitives and N.
 
-    Raises ConformalityViolation when f1'f2' + f3'f4' has a coefficient
-    above conf_tol * (1 + coefficient scale), and OrderMismatch when all
-    four components are nonzero but n1 + n2 != n3 + n4.
+    Raises ValueError unless conf_tol is finite and positive,
+    ConformalityViolation when f1'f2' + f3'f4' has a coefficient above
+    conf_tol * (1 + coefficient scale), and OrderMismatch when all four
+    components are nonzero but n1 + n2 != n3 + n4.
     """
+    if not (math.isfinite(conf_tol) and conf_tol > 0):
+        raise ValueError(f"conf_tol must be finite and positive, got {conf_tol!r}")
     fprime = tuple(p if isinstance(p, CPoly) else CPoly(p) for p in fprime)
     if len(fprime) != 4:
         raise ValueError("expected four derivative polynomials")
@@ -267,11 +270,15 @@ def jacobian(w: WeierstrassData, z):
     return fx, fy
 
 
-def branch_points(w: WeierstrassData, tol: float = 1e-9) -> list:
+_BRANCH_TOL = 1e-9
+
+
+def branch_points(w: WeierstrassData) -> list:
     """Common zeros of the nonzero derivative components inside the unit disk.
 
     Roots of the lowest-degree nonzero component, filtered by requiring
-    every other nonzero component to vanish there within tol * (1 + scale).
+    every other nonzero component to vanish there within
+    _BRANCH_TOL * (1 + scale).
     """
     nonzero = [p for p in w.fprime if not p.is_zero]
     candidates = min(nonzero, key=lambda p: p.degree)
@@ -283,7 +290,7 @@ def branch_points(w: WeierstrassData, tol: float = 1e-9) -> list:
             continue
         ok = True
         for p in nonzero:
-            if abs(p(r)) > tol * (1.0 + p.max_abs_coeff()):
+            if abs(p(r)) > _BRANCH_TOL * (1.0 + p.max_abs_coeff()):
                 ok = False
                 break
         if ok:
@@ -297,12 +304,12 @@ def branch_points(w: WeierstrassData, tol: float = 1e-9) -> list:
     return dedup
 
 
-def tangent_plane(w: WeierstrassData, z: complex, tol: float = 1e-12) -> TwoVector:
+def tangent_plane(w: WeierstrassData, z: complex) -> TwoVector:
     """Oriented unit tangent 2-vector (dF/dx ^ dF/dy) / |...| at z."""
     fx, fy = jacobian(w, z)
     p = wedge(fx, fy)
     n = p.norm
-    if n <= tol * max(1.0, w.coeff_scale() ** 2):
+    if n <= 1e-12 * max(1.0, w.coeff_scale() ** 2):
         raise DegeneratePlane(f"vanishing differential at z={z}")
     return TwoVector(p.components / n)
 

@@ -12,6 +12,17 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def non_conformal(tmp_path, conf_tol=None) -> str:
+    # f1' = 2z, f2' = 1, f3' = 3z^2, f4' = 0: f1'f2' + f3'f4' = 2z, so the
+    # conformality residual is 2.0
+    data = {"fprime": [[[0, 0], [2, 0]], [[1, 0]], [[0, 0], [0, 0], [3, 0]], []]}
+    if conf_tol is not None:
+        data["conf_tol"] = conf_tol
+    path = tmp_path / "non_conformal.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestAnalyze:
     def test_cusp(self, tmp_path, capsys):
         rc = run("analyze", "--input", str(DATA / "cusp.json"),
@@ -48,6 +59,26 @@ class TestAnalyze:
         rc = run("analyze", "--input", str(DATA / "cusp.json"), "--json",
                  "--tol", "conf-tol=1e-9")
         assert rc == 0
+
+    def test_non_conformal_map_refused(self, tmp_path, capsys):
+        rc = run("analyze", "--input", non_conformal(tmp_path))
+        assert rc == 2
+        assert "ConformalityViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exit_code(self, value, tmp_path, capsys):
+        rc = run("analyze", "--input", non_conformal(tmp_path),
+                 "--tol", f"conf_tol={value}")
+        assert rc == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_in_input_exit_code(self, value, tmp_path,
+                                                      capsys):
+        # Python's json writes and reads NaN and Infinity
+        rc = run("analyze", "--input", non_conformal(tmp_path, value))
+        assert rc == 2
+        assert "conf_tol must be finite and positive" in capsys.readouterr().err
 
 
     def test_second_branch_point_on_a_gauss_sample(self, tmp_path, capsys):
@@ -146,6 +177,25 @@ class TestDoublePoints:
                  "--tol", "newton_tol=1e-11")
         assert rc == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_newton_tol_exit_code(self, value, tmp_path, capsys):
+        # nan converged no seed and inf every seed, both with exit 0
+        rc = run("double-points", "--input", str(DATA / "cusp.json"),
+                 "--params", cusp_params(tmp_path),
+                 "--tol", f"newton_tol={value}")
+        assert rc == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["double-points", "--radius", "-0.5"],
+        ["double-points", "--grid-n", "2"],
+        ["verify", "--eta", "0.5", "--grid-n", "1"],
+    ], ids=["negative-radius", "grid-n-2", "verify-grid-n-1"])
+    def test_out_of_range_region_exit_code(self, argv, capsys):
+        rc = run(*argv, "--input", str(DATA / "flat_plane.json"))
+        assert rc == 2
+        assert "ValueError" in capsys.readouterr().err
+
 
 class TestKnot:
     def test_cusp_outputs(self, tmp_path, capsys):
@@ -224,3 +274,35 @@ class TestVerify:
                  "--tol", "newton_tol=1e-2")
         assert rc == 2
         assert "newton_tol" in capsys.readouterr().err
+
+    def test_identity_violation_exit_code(self, capsys):
+        # the sampled double point lies outside the 0.01-ball
+        rc = run("verify", "--input", str(DATA / "cusp.json"),
+                 "--t", "0.05", "--seed", "1", "--eta", "0.01")
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ("D=0 e=3 N=2 VIOLATION: 2D = 0 differs "
+                                "from e - (N-1) = 2\n")
+        assert "FormulaViolation" in captured.err
+
+    @pytest.mark.parametrize("argv, traces", [
+        (["--input", str(DATA / "flat_plane.json")], 1),
+        (["--input", str(DATA / "cusp.json"), "--t", "0.005", "--seed", "1"], 2),
+    ], ids=["flat", "cusp-sampled"])
+    def test_scan_traces_the_base_slice_once(self, argv, traces, monkeypatch,
+                                             capsys):
+        # without --eta the scan's accepted slice is the base slice; a
+        # perturbed map adds the slice of the member
+        calls = 0
+        real = knot.trace_slice
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(knot, "trace_slice", counted)
+        rc = run("verify", *argv)
+        assert rc == 0
+        assert "OK" in capsys.readouterr().out
+        assert calls == traces

@@ -8,6 +8,7 @@ import branchknot as bk
 from branchknot.cpoly import CPoly
 from branchknot.errors import (
     BranchOnSlice,
+    FormulaViolation,
     NonMonotoneFiberAngle,
     OpenCurve,
     PushoffCollision,
@@ -211,3 +212,15 @@ class TestVerify:
         d = rep.to_json_dict()
         assert d["identity_ok"] is True
         assert d["N"] == 1
+
+    def test_violation_carries_report(self, cusp):
+        # at t = 0.05 the sampled member's double point lies outside the
+        # 0.01-ball, so D = 0 against e - (N-1) = 2
+        p = bk.sample_generic(cusp, 0.05, 1)
+        with pytest.raises(FormulaViolation) as exc:
+            bk.verify_double_point_formula(cusp, p, 0.01)
+        rep = exc.value.report
+        assert (rep.D, rep.e, rep.N) == (0, 3, 2)
+        assert rep.identity_ok is False
+        assert exc.value.args[0] == rep.notes[-1]
+        assert rep.notes[-1] == "2D = 0 differs from e - (N-1) = 2"

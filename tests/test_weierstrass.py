@@ -41,6 +41,14 @@ class TestLoad:
         with pytest.raises(ValueError):
             bk.load([CPoly.zero()] * 4)
 
+    @pytest.mark.parametrize("conf_tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_conf_tol_must_be_finite_and_positive(self, conf_tol):
+        # with nan or inf the residual comparison never fires, so the
+        # non-conformal map below would load
+        with pytest.raises(ValueError, match="conf_tol"):
+            bk.load([CPoly([0, 2]), CPoly([1]), CPoly([0, 0, 3]), CPoly.zero()],
+                    conf_tol=conf_tol)
+
     def test_json_round_trip(self, ex4):
         again = bk.WeierstrassData.from_json_dict(ex4.to_json_dict())
         assert again.orders == ex4.orders
