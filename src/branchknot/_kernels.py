@@ -21,8 +21,9 @@ from .weierstrass import WeierstrassData, evaluate_F, jacobian
 # read by the benchmark record's kernel_path field
 HAS_NUMBA = False
 
-# rows of P per block of the linking sum: 16 rows of a 1500-point Q keep
-# the working set near 3 MB
+# rows of P per block of the linking sum: 16 rows of a 2048-point Q (the
+# largest polygon knot.linking_number_gauss passes) keep the working set
+# near 4 MB
 LINK_BLOCK = 16
 
 

@@ -10,9 +10,10 @@ Subcommands mirror the pipeline stages:
 
 Exit codes: 0 success, 2 input validation failure (a tangent plane or
 Gauss map asked for at a branch point, a search region outside
-0 < radius <= 0.9 or with grid-n < 3, and a tolerance that is not finite
-and positive included), 3 sampling exhausted, 4 identity violation,
-5 slicing/braiding failure, 6 the two Gauss-map routes disagree.
+0 < radius <= 0.9 or with grid-n < 3, and a tolerance or slice radius
+eta that is not finite and positive included), 3 sampling exhausted,
+4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
+routes disagree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     GaussCrossCheckFailure,
     IndeterminateGauss,
     NonMonotoneFiberAngle,
-    OpenCurve,
     OrderMismatch,
     OrderViolation,
     ProjectionPoleOnCurve,
@@ -57,7 +57,7 @@ _ERROR_CODES = [
       ValueError), _EXIT_VALIDATION),
     ((SamplingExhausted,), _EXIT_SAMPLING),
     ((FormulaViolation,), _EXIT_FORMULA),
-    ((TraceFailure, OpenCurve, BranchOnSlice, NonMonotoneFiberAngle,
+    ((TraceFailure, BranchOnSlice, NonMonotoneFiberAngle,
       PushoffCollision, ProjectionPoleOnCurve), _EXIT_TRACE),
     ((GaussCrossCheckFailure,), _EXIT_CROSS_CHECK),
 ]

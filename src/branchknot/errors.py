@@ -50,11 +50,7 @@ class BranchPointInRegion(BranchknotError):
 # ---- slicing / braiding ----------------------------------------------------
 
 class TraceFailure(BranchknotError):
-    """Level-set tracing failed to start or the corrector diverged."""
-
-
-class OpenCurve(BranchknotError):
-    """Traced curve did not close within the step budget."""
+    """The level set misses a ray or is not a radial graph around 0."""
 
 
 class BranchOnSlice(BranchknotError):

@@ -3,11 +3,13 @@
 The image of a small disk around a branch point meets the sphere of
 radius eta in a closed curve; rescaled to the unit 3-sphere it is a knot
 braided around the great circle {x1 = x2 = 0}, with one strand per local
-sheet.  This module traces that curve in the parameter disk, presents it
-as a braid over the fiber angle arg(x1 + i x2), and computes the signed
-crossing count two independent ways: directly from the braid diagram and
-as a linking number with a pushoff copy, evaluated by a Gauss double sum
-after stereographic projection.
+sheet.  Since |F| ~ |z|^N near the branch point, the curve's preimage in
+the parameter disk meets each ray from 0 once; this module finds it on
+2048 rays at once, presents the knot as a braid over the fiber angle
+arg(x1 + i x2), and computes the signed crossing count two independent
+ways: directly from the braid diagram and as a linking number with a
+pushoff copy, an exact solid-angle sum over two polygons after
+stereographic projection, with polygons sized from the pushoff clearance.
 
 Crossing sign convention (fixed project-wide, right-handed): a crossing
 where the chord between the two strands rotates counterclockwise in the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +36,6 @@ from .errors import (
     BranchOnSlice,
     FormulaViolation,
     NonMonotoneFiberAngle,
-    OpenCurve,
     ProjectionPoleOnCurve,
     PushoffCollision,
     TraceFailure,
@@ -51,22 +53,19 @@ __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
 
 @dataclass(frozen=True)
 class KnotCurve:
-    """Closed polyline(s) on the unit 3-sphere with their disk preimages.
+    """One closed polyline on the unit 3-sphere with its disk preimages.
 
-    components lists (start, stop) index ranges; each loop is stored once
-    without repeating its first point.
+    Sample i lies over the ray at angle 2 pi i / len(samples), so the
+    loop runs counterclockwise around the origin of the disk and is
+    stored once, without repeating its first point.
     """
 
     samples: np.ndarray
     preimages: np.ndarray
     eta: float
-    components: tuple
 
     def fiber_angles(self) -> np.ndarray:
         return np.angle(self.samples[:, 0] + 1j * self.samples[:, 1])
-
-    def component_slices(self):
-        return [slice(a, b) for a, b in self.components]
 
     def to_csv(self, fh) -> None:
         """Columns: theta, x1..x4, z_re, z_im (theta = fiber angle)."""
@@ -111,123 +110,66 @@ class BraidDiagram:
 # ---------------------------------------------------------------------------
 
 _LOOP_SAMPLES = 2048
+# radii of the scan that brackets the crossing on every ray
+_SCAN_RADII = np.linspace(1e-6, 0.95, 64)
+_BISECTIONS = 60
 
 
-def _level_gradient(w: WeierstrassData, z: complex):
-    """|F(z)|^2, its gradient packed as a complex number, and F(z)."""
-    F = evaluate_F(w, z)
-    fx, fy = jacobian(w, z)
-    return float(F @ F), complex(2.0 * (F @ fx), 2.0 * (F @ fy)), F
+def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
+    """Trace {z : |F(z)| = eta} as a radial graph over _LOOP_SAMPLES rays.
 
+    Near a branch point |F| ~ |z|^N, so the slice meets each ray from the
+    origin once.  Each ray is scanned on the _SCAN_RADII grid, one radius
+    at a time over all rays, and its bracket is refined by _BISECTIONS
+    array bisection steps; the samples are F(z)/|F(z)| at the roots, in
+    counterclockwise order of their rays.  The radial-graph property is
+    certified on every ray: the scan starts below eta, crosses it once
+    and never comes back below it, and d|F|^2/dr > 0 at the root.
 
-def _seed_on_rays(w: WeierstrassData, eta: float, rays: int) -> list:
-    """First crossing of |F| = eta on each of `rays` rays from the origin.
-
-    Each ray is scanned on an 800-point radius grid, and the first bracket
-    is refined by 80 bisection steps; all rays are bisected together, one
-    array evaluation per step.  Rays without a bracket give no seed.
+    Raises ValueError unless eta is finite and > 0, BranchOnSlice if a
+    branch value sits near the slicing sphere, and TraceFailure if some
+    ray never crosses eta or the slice is not a radial graph.
     """
-    rs = np.linspace(1e-6, 0.95, 800)
-    dirs = np.exp(1j * np.array([2.0 * math.pi * k / rays for k in range(rays)]))
-    above = np.linalg.norm(evaluate_F(w, dirs[:, None] * rs), axis=2) >= eta
-    hi = np.argmax(above, axis=1)
-    live = above.any(axis=1) & (hi > 0)
-    dirs, hi = dirs[live], hi[live]
-    a, b = rs[hi - 1], rs[hi]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        F = evaluate_F(w, mid * dirs)
-        # |F| from the per-row dot F[i] @ F[i], as np.linalg.norm(F[i])
-        # takes it: the last steps decide on the last bit of |F|, and a
-        # seed should not depend on how many rays are bisected with it
-        inside = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0]) < eta
-        a = np.where(inside, mid, a)
-        b = np.where(inside, b, mid)
-    return list(0.5 * (a + b) * dirs)
-
-
-def trace_slice(w: WeierstrassData, eta: float,
-                max_steps: int = 200000) -> KnotCurve:
-    """Trace {z : |F(z)| = eta} by predictor-corrector continuation.
-
-    Seeds come from radial bisection along 32 rays from the origin; every
-    seed not lying on an already-traced loop starts a new component.  The
-    step is 1/_LOOP_SAMPLES of the circle through the loop's seed, and the
-    corrector stops at |F|^2 within 1e-12 * eta^2 of eta^2.  It returns
-    the level-set gradient at the point it accepts, and the next predictor
-    step takes its tangent from that gradient, so each sample costs one
-    `_level_gradient` call fewer.  Samples are mapped to the unit sphere
-    via F(z)/|F(z)|.
-
-    Raises BranchOnSlice if a branch value sits near the slicing sphere,
-    TraceFailure if no seed exists or the corrector diverges, and
-    OpenCurve if a loop fails to close within the step budget.
-    """
+    eta = float(eta)
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"slice radius eta must be finite and > 0, got {eta}")
     for bp in branch_points(w):
         if abs(np.linalg.norm(evaluate_F(w, bp)) - eta) < 0.05 * eta:
             raise BranchOnSlice(f"branch value within 5% of the sphere at z={bp}")
 
-    seeds = _seed_on_rays(w, eta, 32)
-    if not seeds:
-        raise TraceFailure(f"level set |F| = {eta} not found in the disk")
+    dirs = np.exp(2j * math.pi * np.arange(_LOOP_SAMPLES) / _LOOP_SAMPLES)
+    crossed = np.zeros(_LOOP_SAMPLES, bool)
+    back = np.zeros(_LOOP_SAMPLES, bool)
+    hi = np.zeros(_LOOP_SAMPLES, int)
+    for j, r in enumerate(_SCAN_RADII):
+        above = np.linalg.norm(evaluate_F(w, r * dirs), axis=1) >= eta
+        if j == 0 and above.any():
+            raise TraceFailure(f"|F| >= {eta} at the start of the ray scan")
+        hi[above & ~crossed] = j
+        back |= crossed & ~above
+        crossed |= above
+    if not crossed.all():
+        raise TraceFailure(f"level set |F| = {eta} not found on every ray")
+    if back.any():
+        raise TraceFailure(f"level set |F| = {eta} is not a radial graph: a ray "
+                           f"at angle {np.angle(dirs[np.argmax(back)]):.4f} "
+                           "crosses it more than once")
 
-    eta2 = eta * eta
-    tol = 1e-12 * eta2
-
-    def correct(z: complex):
-        """The point on the level set near z, and the gradient there."""
-        for _ in range(20):
-            f2, G, _ = _level_gradient(w, z)
-            g = f2 - eta2
-            if abs(g) <= tol:
-                return z, G
-            gn2 = abs(G) ** 2
-            if gn2 < 1e-280:
-                raise TraceFailure(f"vanishing level-set gradient near z={z}")
-            z = z - g * G / gn2
-        raise TraceFailure(f"corrector did not converge near z={z}")
-
-    loops: list[np.ndarray] = []
-    remaining = list(seeds)
-    while remaining:
-        z0, G = correct(remaining.pop(0))
-        h = 2.0 * math.pi * abs(z0) / _LOOP_SAMPLES
-        pts = [z0]
-        z = z0
-        tau_prev = None
-        closed = False
-        for _ in range(max_steps):
-            tau = 1j * G / abs(G)
-            if tau_prev is None:
-                # counterclockwise start with respect to the origin
-                if (np.conj(z) * tau).imag < 0:
-                    tau = -tau
-            elif (np.conj(tau_prev) * tau).real < 0:
-                tau = -tau
-            tau_prev = tau
-            z, G = correct(z + h * tau)
-            if len(pts) >= 8 and abs(z - z0) < 0.75 * h:
-                closed = True
-                break
-            pts.append(z)
-        if not closed:
-            raise OpenCurve(f"loop from seed {z0} did not close in "
-                            f"{max_steps} steps")
-        loop = np.array(pts)
-        loops.append(loop)
-        remaining = [s for s in remaining
-                     if np.min(np.abs(loop - s)) > 2.0 * h]
-
-    pre = np.concatenate(loops)
-    comps = []
-    start = 0
-    for lp in loops:
-        comps.append((start, start + lp.size))
-        start += lp.size
+    a, b = _SCAN_RADII[hi - 1], _SCAN_RADII[hi]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (a + b)
+        inside = np.linalg.norm(evaluate_F(w, mid * dirs), axis=1) < eta
+        a = np.where(inside, mid, a)
+        b = np.where(inside, b, mid)
+    pre = 0.5 * (a + b) * dirs
     F = evaluate_F(w, pre)
+    fx, fy = jacobian(w, pre)
+    slope = np.einsum("ij,ij->i", F, dirs.real[:, None] * fx + dirs.imag[:, None] * fy)
+    if not np.all(slope > 0):
+        raise TraceFailure(f"level set |F| = {eta} is not a radial graph: "
+                           "d|F|/dr <= 0 at a root")
     samples = F / np.linalg.norm(F, axis=1, keepdims=True)
-    return KnotCurve(samples=samples, preimages=pre, eta=float(eta),
-                     components=tuple(comps))
+    return KnotCurve(samples=samples, preimages=pre, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +183,7 @@ def _closed_fiber_angles(q: np.ndarray) -> np.ndarray:
 
 
 def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
-    """Present a single-component slice as a braid over the fiber angle.
+    """Present the slice as a braid over the fiber angle.
 
     The loop is resampled into N strands on a uniform fiber-angle grid;
     crossings are recorded wherever two strands exchange real-part order,
@@ -249,9 +191,6 @@ def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
     NonMonotoneFiberAngle when the fiber angle is not strictly monotone
     along the loop (the slice is not braided at this radius).
     """
-    if len(k.components) != 1:
-        raise ValueError("braid presentation implemented for single-component "
-                         f"slices (got {len(k.components)})")
     q = k.samples
     th = _closed_fiber_angles(q)
     total = th[-1] - th[0]
@@ -275,17 +214,22 @@ def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
     strands = []
     for s in range(n):
         qs = grid + 2.0 * math.pi * s
-        qs = np.minimum(qs, th[-1])  # guard the final wrap point
         re = np.interp(qs, th, wf.real)
         im = np.interp(qs, th, wf.imag)
         strands.append(re + 1j * im)
+    # the wrap value is the next strand's first one, bit for bit, so that a
+    # crossing at the base angle is seen once, by one of the two strand pairs
+    for s in range(n):
+        strands[s][-1] = strands[(s + 1) % n][0]
 
     crossings = []
     for a in range(n):
         for b in range(a + 1, n):
             c = strands[a] - strands[b]
             re, im = c.real, c.imag
-            flips = np.nonzero(re[:-1] * re[1:] < 0)[0]
+            # a zero counts as positive, so that a chord crossing exactly at
+            # a grid angle (a symmetric slice) gives one flip, not none
+            flips = np.nonzero((re[:-1] < 0) != (re[1:] < 0))[0]
             for j in flips:
                 frac = re[j] / (re[j] - re[j + 1])
                 imx = im[j] + frac * (im[j + 1] - im[j])
@@ -330,31 +274,33 @@ def self_linking(e: int, N: int) -> int:
 # linking number by Gauss double sum
 # ---------------------------------------------------------------------------
 
-def _resample_closed(path: np.ndarray, n: int) -> np.ndarray:
-    closed = np.vstack([path, path[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    targets = np.linspace(0.0, total, n, endpoint=False)
-    out = np.empty((n, path.shape[1]))
-    for c in range(path.shape[1]):
-        out[:, c] = np.interp(targets, s, closed[:, c])
-    return out
+# first polygon size of the Gauss sum; it doubles until the polygons fit
+_GAUSS_START = 150
+
+
+def _chord_polygon(path: np.ndarray, n: int):
+    """n vertices of the closed polyline path, evenly spaced by index, and
+    the largest distance of a vertex of path from the chord over it."""
+    m = len(path)
+    idx = np.arange(n) * m // n
+    i = np.searchsorted(idx, np.arange(m), side="right") - 1
+    a = path[idx[i]]
+    ab = path[np.roll(idx, -1)[i]] - a
+    ap = path - a
+    u = np.einsum("ij,ij->i", ap, ab) / np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    dev = np.linalg.norm(ap - np.clip(u, 0.0, 1.0)[:, None] * ab, axis=1)
+    return path[idx], float(dev.max())
 
 
 def _min_strand_gap(k: KnotCurve) -> float:
     """Smallest distance between distinct sheets over matching fiber angles."""
     try:
         b = braid_from_knot(k, angles=512)
-    except (NonMonotoneFiberAngle, ValueError):
+    except NonMonotoneFiberAngle:
         return math.inf
-    if b.n_strands < 2:
-        return math.inf
-    best = math.inf
-    for a in range(b.n_strands):
-        for c in range(a + 1, b.n_strands):
-            best = min(best, float(np.min(np.abs(b.strands[a] - b.strands[c]))))
-    return best
+    return min((float(np.min(np.abs(b.strands[i] - b.strands[j])))
+                for i, j in itertools.combinations(range(b.n_strands), 2)),
+               default=math.inf)
 
 
 def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
@@ -394,13 +340,17 @@ def linking_number_gauss(k: KnotCurve,
     The pushoff displaces every sample by delta in one fixed direction of
     the (x3,x4)-plane (chosen among a few candidates for maximal
     clearance) and renormalizes to the sphere.  Both curves are then
-    projected stereographically from a pole far from both, and the
-    discrete Gauss double sum is evaluated.  The result is real and lands
-    within 0.1 of an integer for adequately sampled curves.
+    projected stereographically from a pole far from both, and the Gauss
+    sum is taken over the solid angles of segment pairs, which is the exact
+    linking number of two polygons (Banchoff 1976).  So the polygons need
+    only link as the curves do: each keeps _GAUSS_START of its samples,
+    doubled until every sample of both projected curves lies within half
+    their clearance (the least distance between their samples) of the
+    chord over it.  With all samples kept that deviation is 0, so the rule
+    fails there only on curves that touch, and then PushoffCollision is
+    raised.
     """
-    if len(k.components) != 1:
-        raise ValueError("linking number implemented for single-component slices")
-    q = _resample_closed(k.samples, 1500)
+    q = k.samples
 
     if pushoff_delta is None:
         gap = _min_strand_gap(k)
@@ -435,7 +385,18 @@ def linking_number_gauss(k: KnotCurve,
     frame = _orthonormal_frame(pole)
     P = _stereographic(q, pole, frame)
     Q = _stereographic(qhat, pole, frame)
-    return float(_kernels.linking_sum(P, Q))
+    clearance = float(cKDTree(P).query(Q)[0].min())
+    n = _GAUSS_START
+    while True:
+        n = min(n, len(q))
+        (Pn, dev_p), (Qn, dev_q) = _chord_polygon(P, n), _chord_polygon(Q, n)
+        if max(dev_p, dev_q) < 0.5 * clearance:
+            return float(_kernels.linking_sum(Pn, Qn))
+        if n == len(q):
+            raise PushoffCollision(
+                f"a {n}-point polygon deviates {max(dev_p, dev_q):.2e} from the "
+                f"slice, not below half the pushoff clearance {clearance:.2e}")
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +412,14 @@ def contact_transversality_margin(k: KnotCurve, orientation: int) -> float:
     margin certifies the slice transverse to the associated contact
     planes.
     """
-    worst = math.inf
-    for sl in k.component_slices():
-        q = k.samples[sl]
-        gam = np.roll(q, -1, axis=0) - np.roll(q, 1, axis=0)
-        if orientation >= 0:
-            jq = np.stack([-q[:, 1], q[:, 0], -q[:, 3], q[:, 2]], axis=1)
-        else:
-            jq = np.stack([-q[:, 1], q[:, 0], q[:, 3], -q[:, 2]], axis=1)
-        num = np.abs(np.einsum("ij,ij->i", gam, jq))
-        den = np.linalg.norm(gam, axis=1)
-        worst = min(worst, float(np.min(num / den)))
-    return worst
+    q = k.samples
+    gam = np.roll(q, -1, axis=0) - np.roll(q, 1, axis=0)
+    if orientation >= 0:
+        jq = np.stack([-q[:, 1], q[:, 0], -q[:, 3], q[:, 2]], axis=1)
+    else:
+        jq = np.stack([-q[:, 1], q[:, 0], q[:, 3], -q[:, 2]], axis=1)
+    num = np.abs(np.einsum("ij,ij->i", gam, jq))
+    return float(np.min(num / np.linalg.norm(gam, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +446,7 @@ def select_eta(w: WeierstrassData, start: float = 0.1,
                 stable_crossing_number(k)
                 return k
             rejected.append(f"{eta!r} (winding {b.n_strands} != N = {w.N})")
-        except (TraceFailure, OpenCurve, NonMonotoneFiberAngle, BranchOnSlice) as exc:
+        except (TraceFailure, NonMonotoneFiberAngle, BranchOnSlice) as exc:
             rejected.append(f"{eta!r} ({type(exc).__name__})")
         eta *= 0.5
     raise TraceFailure(f"no workable slice radius found above {min_eta}; "
@@ -545,7 +502,8 @@ def verify_double_point_formula(w_base: WeierstrassData,
 
     Raises FormulaViolation (with the report attached, the message as its
     last note) when the identity fails, when the two crossing-count routes
-    disagree, or when the perturbed slice changes its crossing sum.
+    disagree (the Gauss sum is not within 1e-6 of the braid's integer), or
+    when the perturbed slice changes its crossing sum.
     """
     notes = []
     deformed = w_base
@@ -580,7 +538,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
     violation = None
     if b.n_strands != N:
         violation = f"slice winding {b.n_strands} != N = {N}"
-    elif abs(lk - round(lk)) > 0.1 or int(round(lk)) != e:
+    elif abs(lk - round(lk)) > 1e-6 or int(round(lk)) != e:
         violation = f"crossing-count routes disagree: braid {e}, gauss {lk:.3f}"
     elif not report.identity_ok:
         violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"

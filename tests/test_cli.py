@@ -243,6 +243,24 @@ class TestKnot:
         assert rc == 0
         assert calls == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["knot", "--input", str(DATA / "cusp.json"), "--eta", "-0.01"],
+        ["knot", "--input", str(DATA / "cusp.json"), "--eta", "nan"],
+        ["verify", "--input", str(DATA / "flat_plane.json"), "--eta", "-1"],
+    ], ids=["knot-negative", "knot-nan", "verify-negative"])
+    def test_bad_eta_exit_code(self, argv, tmp_path, capsys):
+        rc = run(*argv, "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "finite and > 0" in err
+
+    def test_touching_pushoff_exit_code(self, tmp_path, capsys):
+        # the four-function slice lies in {x4 = 0}: its pushoff touches it
+        rc = run("knot", "--input", str(DATA / "four_function.json"),
+                 "--out-dir", str(tmp_path))
+        assert rc == 5
+        assert "PushoffCollision" in capsys.readouterr().err
+
     def test_sampling_flag_refused(self, capsys):
         # knot reads --params only; --t is neither its flag nor --tol
         with pytest.raises(SystemExit) as exc:

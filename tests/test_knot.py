@@ -1,8 +1,11 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import branchknot as bk
 from branchknot.cpoly import CPoly
@@ -10,17 +13,32 @@ from branchknot.errors import (
     BranchOnSlice,
     FormulaViolation,
     NonMonotoneFiberAngle,
-    OpenCurve,
     PushoffCollision,
     TraceFailure,
 )
 from branchknot import knot as knot_module
 from branchknot.knot import KnotCurve
+from branchknot.weierstrass import WeierstrassData
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def torus_curve(p, q, a=1.0, b=1.0):
+    """The complex curve z -> (a z^p, b z^q), given by its derivatives."""
+    return bk.load([CPoly([0] * (p - 1) + [p * a]), CPoly.zero(),
+                    CPoly([0] * (q - 1) + [q * b]), CPoly.zero()])
+
+
+def dipping_map():
+    # F = (z (z - 1/2)^2, 0.01 z^2): along the positive real ray |F| rises
+    # to 1/54 at z = 1/6, falls to about 0.0022 near z = 1/2 and rises
+    # again, so the slice at eta = 0.01 meets that ray three times
+    return bk.load([CPoly([0.25, -2, 3]), CPoly.zero(),
+                    CPoly([0, 0.02]), CPoly.zero()])
 
 
 class TestTraceSlice:
     def test_flat_plane_circle(self, flat_knot):
-        assert len(flat_knot.components) == 1
         assert np.abs(np.abs(flat_knot.preimages) - 0.5).max() < 1e-9
         assert np.abs(np.linalg.norm(flat_knot.samples, axis=1) - 1).max() < 1e-10
 
@@ -39,13 +57,27 @@ class TestTraceSlice:
         assert bk.braid_from_knot(cusp_knot).n_strands == 2
         assert bk.braid_from_knot(flat_knot).n_strands == 1
 
+    def test_one_sample_per_ray_on_the_level_set(self, cusp, cusp_knot):
+        assert cusp_knot.samples.shape == (2048, 4)
+        img = bk.evaluate_F(cusp, cusp_knot.preimages)
+        assert np.abs(np.linalg.norm(img, axis=1) / 1e-2 - 1).max() <= 1e-14
+        # one preimage on each ray, counterclockwise from angle 0
+        rays = 2 * np.pi * np.arange(2048) / 2048
+        dphi = np.angle(cusp_knot.preimages * np.exp(-1j * rays))
+        assert np.abs(dphi).max() < 1e-12
+
     def test_no_slice_at_huge_radius(self, cusp):
         with pytest.raises(TraceFailure):
             bk.trace_slice(cusp, 5.0)
 
-    def test_open_curve_on_tiny_budget(self, flat):
-        with pytest.raises(OpenCurve):
-            bk.trace_slice(flat, 0.5, max_steps=5)
+    @pytest.mark.parametrize("eta", [-0.01, 0.0, math.nan, math.inf])
+    def test_eta_not_finite_positive(self, cusp, eta):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            bk.trace_slice(cusp, eta)
+
+    def test_ray_crossing_twice_is_refused(self):
+        with pytest.raises(TraceFailure, match="not a radial graph"):
+            bk.trace_slice(dipping_map(), 0.01)
 
     def test_branch_value_on_sphere(self):
         # branch point at z=0.3 with nonzero image: slicing through its
@@ -59,21 +91,6 @@ class TestTraceSlice:
         eta_hit = float(np.linalg.norm(bk.evaluate_F(w, a)))
         with pytest.raises(BranchOnSlice):
             bk.trace_slice(w, eta_hit)
-
-    def test_one_gradient_per_predictor_and_corrector_step(self, cusp, monkeypatch):
-        # the predictor takes its tangent from the gradient the corrector
-        # accepted, so a sample costs three gradients, not four
-        calls = 0
-        real = knot_module._level_gradient
-
-        def counted(w, z):
-            nonlocal calls
-            calls += 1
-            return real(w, z)
-
-        monkeypatch.setattr(knot_module, "_level_gradient", counted)
-        k = bk.trace_slice(cusp, 1e-2)
-        assert calls <= 3.05 * k.samples.shape[0]
 
     def test_csv_export(self, flat_knot):
         text = flat_knot.csv_text()
@@ -129,9 +146,7 @@ class TestBraid:
 class TestLinking:
     def test_matches_crossing_sum(self, cusp_knot, torus_knot, flat_knot):
         for k, e in ((cusp_knot, 3), (torus_knot, 5), (flat_knot, 0)):
-            lk = bk.linking_number_gauss(k)
-            assert abs(lk - round(lk)) <= 0.1
-            assert int(round(lk)) == e
+            assert abs(bk.linking_number_gauss(k) - e) <= 1e-6
 
     def test_pushoff_collision(self, flat_knot):
         with pytest.raises(PushoffCollision):
@@ -140,6 +155,34 @@ class TestLinking:
     def test_explicit_delta(self, cusp_knot):
         lk = bk.linking_number_gauss(cusp_knot, pushoff_delta=0.02)
         assert int(round(lk)) == 3
+
+    @pytest.mark.parametrize("q", [7, 9])
+    def test_coarse_polygon_is_refined(self, q, monkeypatch):
+        # on z -> (2 z^2, z^q), fixed 75-point polygons link the T(2,7) and
+        # T(2,9) slices with their pushoffs 2 and 0 times: integers, so no
+        # integrality test catches them; the clearance rule must refine
+        # them to the true 7 and 9
+        monkeypatch.setattr(knot_module, "_GAUSS_START", 75)
+        sizes = []
+        real = knot_module._kernels.linking_sum
+
+        def spy(P, Q):
+            sizes.append(len(P))
+            return real(P, Q)
+
+        monkeypatch.setattr(knot_module._kernels, "linking_sum", spy)
+        k = bk.select_eta(torus_curve(2, q, a=2.0))
+        assert abs(bk.linking_number_gauss(k) - q) <= 1e-6
+        assert sizes and sizes[0] > 75
+
+    def test_touching_pushoff_is_refused(self):
+        # the four-function fixture has f3' = f4', so its slice lies in
+        # {x4 = 0}, its strands meet (gap ~4e-16) and the pushoff lands on
+        # the slice: even the full 2048-point polygon has no clearance
+        data = json.loads((DATA / "four_function.json").read_text())
+        k = bk.trace_slice(WeierstrassData.from_json_dict(data), 0.1)
+        with pytest.raises(PushoffCollision, match="2048-point polygon"):
+            bk.linking_number_gauss(k)
 
 
 class TestSelfLinking:
@@ -166,8 +209,7 @@ class TestContactMargin:
         th = 2 * np.pi * np.arange(256) / 256
         q = np.stack([np.cos(th), np.zeros_like(th),
                       np.sin(th), np.zeros_like(th)], axis=1)
-        k = KnotCurve(samples=q, preimages=np.exp(1j * th),
-                      eta=1.0, components=((0, 256),))
+        k = KnotCurve(samples=q, preimages=np.exp(1j * th), eta=1.0)
         assert bk.contact_transversality_margin(k, +1) < 1e-12
 
 
@@ -184,6 +226,17 @@ class TestEtaSelection:
         assert k.eta < 0.2
         assert np.array_equal(k.samples, bk.trace_slice(w, k.eta).samples)
         bk.braid_from_knot(k)
+
+    def test_non_radial_slice_is_rejected_and_halved(self):
+        w = dipping_map()
+        with pytest.raises(TraceFailure) as exc:
+            bk.select_eta(w, start=0.01, min_eta=0.004)
+        msg = str(exc.value)
+        assert "0.01 (TraceFailure)" in msg and "0.005 (TraceFailure)" in msg
+        # below the dip's floor of about 0.0022 every ray crosses once
+        k = bk.select_eta(w, start=0.01)
+        assert k.eta == 0.00125
+        assert bk.braid_from_knot(k).n_strands == 1
 
     def test_failure_names_every_eta_tried(self, cusp):
         with pytest.raises(TraceFailure) as exc:
@@ -224,3 +277,28 @@ class TestVerify:
         assert rep.identity_ok is False
         assert exc.value.args[0] == rep.notes[-1]
         assert rep.notes[-1] == "2D = 0 differs from e - (N-1) = 2"
+
+
+@st.composite
+def torus_curves(draw):
+    p = draw(st.integers(2, 5))
+    q = draw(st.sampled_from([q for q in range(p + 1, 10) if math.gcd(p, q) == 1]))
+    a, b = (draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+            for _ in range(2))
+    return p, q, a, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(torus_curves())
+# real b and the ray at angle 0 make the strands meet exactly: at a braid
+# grid angle, and at the wrap angle
+@example((5, 6, 1.0, 1.8611913601552512))
+@example((4, 5, -0.28181677442361797 + 0.9594682410864195j, 1.0))
+def test_complex_curve_slice_is_its_torus_knot(curve):
+    # the slice of z -> (a z^p, b z^q) is T(p, q): p strands and crossing
+    # sum q(p - 1), by the braid and, within 1e-6, by the Gauss sum
+    p, q, a, b = curve
+    k = bk.trace_slice(torus_curve(p, q, a, b), 0.1)
+    assert bk.braid_from_knot(k).n_strands == p
+    assert bk.stable_crossing_number(k) == q * (p - 1)
+    assert abs(bk.linking_number_gauss(k) - q * (p - 1)) <= 1e-6
