@@ -40,7 +40,6 @@ from .knot import (
     orientation_identity_report,
     select_eta,
     self_linking,
-    stable_crossing_number,
     trace_slice,
     verify_double_point_formula,
 )

@@ -11,7 +11,8 @@ Subcommands mirror the pipeline stages:
 Exit codes: 0 success, 2 input validation failure (a tangent plane or
 Gauss map asked for at a branch point, a search region outside
 0 < radius <= 0.9 or with grid-n < 3, and a tolerance or slice radius
-eta that is not finite and positive included), 3 sampling exhausted,
+eta that is not finite and positive included), 3 sampling exhausted
+(a scale t that is not finite and positive included),
 4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
 routes disagree.
 """
@@ -178,7 +179,7 @@ def cmd_knot(args) -> int:
     k = (knot.trace_slice(w, args.eta) if args.eta is not None
          else knot.select_eta(w))
     b = knot.braid_from_knot(k)
-    e = knot.stable_crossing_number(k)
+    e = knot.algebraic_crossing_number(b)
     lk = knot.linking_number_gauss(k)
     report = {
         "eta": k.eta,

@@ -254,11 +254,12 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     A draw is accepted when the monic factors have simple nonzero roots,
     the deformed map has no branch point in the unit disk, and every
     double point the grid-32 search finds in |z| <= 0.5 is transverse.
-    Deterministic for a fixed seed.  Raises SamplingExhausted when t <= 0
-    or no draw of the _MAX_DRAWS passes.
+    Deterministic for a fixed seed.  Raises SamplingExhausted when t is
+    not finite and > 0, or no draw of the _MAX_DRAWS passes.
     """
-    if t <= 0.0:
-        raise SamplingExhausted("perturbation scale t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise SamplingExhausted(
+            f"perturbation scale t must be finite and > 0, got {t}")
     base, _ = relabel_orders(w)
     na, nb = base.orders[0], base.orders[_pb_slot(base, orientation)]
 

@@ -7,9 +7,12 @@ sheet.  Since |F| ~ |z|^N near the branch point, the curve's preimage in
 the parameter disk meets each ray from 0 once; this module finds it on
 2048 rays at once, presents the knot as a braid over the fiber angle
 arg(x1 + i x2), and computes the signed crossing count two independent
-ways: directly from the braid diagram and as a linking number with a
-pushoff copy, an exact solid-angle sum over two polygons after
-stereographic projection, with polygons sized from the pushoff clearance.
+ways: directly from the braid diagram, whose strands are evaluated at
+the fiber angles of the samples themselves, so the count is exact for
+the traced polygon, and as a linking number with a pushoff copy, an
+exact solid-angle sum over two polygons after stereographic projection,
+with polygons sized from the pushoff clearance.  The two routes share
+only the slice samples.
 
 Crossing sign convention (fixed project-wide, right-handed): a crossing
 where the chord between the two strands rotates counterclockwise in the
@@ -22,8 +25,6 @@ of the strands to the count.
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +45,7 @@ from .intersect import find_double_points, is_transverse
 from .weierstrass import WeierstrassData, branch_points, evaluate_F, jacobian
 
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
-           "algebraic_crossing_number", "stable_crossing_number",
+           "algebraic_crossing_number",
            "linking_number_gauss", "self_linking",
            "contact_transversality_margin", "select_eta",
            "verify_double_point_formula", "orientation_identity_report",
@@ -78,24 +79,16 @@ class KnotCurve:
                              f"{self.preimages[i].real:.15g}",
                              f"{self.preimages[i].imag:.15g}"])
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class BraidDiagram:
-    """Strand positions over one turn of the fiber angle, plus crossings.
+    """Strand count and crossings of the slice's braid.
 
-    strands[s] has len(thetas) + 1 entries; the extra column is the wrap
-    value connecting strand s to strand s+1 (mod n_strands).  Each
-    crossing is (theta, strand_i, strand_j, sign).
+    Each crossing is (theta, strand_i, strand_j, sign), sorted by the fiber
+    angle theta in [0, 2 pi).
     """
 
     n_strands: int
-    thetas: np.ndarray
-    strands: tuple
     crossings: tuple
 
     def to_json_dict(self) -> dict:
@@ -182,14 +175,17 @@ def _closed_fiber_angles(q: np.ndarray) -> np.ndarray:
     return np.unwrap(th)
 
 
-def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
+def braid_from_knot(k: KnotCurve) -> BraidDiagram:
     """Present the slice as a braid over the fiber angle.
 
-    The loop is resampled into N strands on a uniform fiber-angle grid;
-    crossings are recorded wherever two strands exchange real-part order,
-    signed by the rotation sense of their chord.  Raises
-    NonMonotoneFiberAngle when the fiber angle is not strictly monotone
-    along the loop (the slice is not braided at this radius).
+    The loop is cut into N strands, one per turn of its unwrapped fiber
+    angle, and every strand is evaluated at the fiber angles of all the
+    samples, taken mod 2 pi.  Between two of those angles each strand is
+    linear, so every exchange of real-part order is found and the crossing
+    sum is exact for the traced polygon; each crossing is signed by the
+    rotation sense of the chord.  Raises NonMonotoneFiberAngle when the
+    fiber angle is not strictly monotone along the loop (the slice is not
+    braided at this radius).
     """
     q = k.samples
     th = _closed_fiber_angles(q)
@@ -210,13 +206,9 @@ def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
     wf = q[:, 2] + 1j * q[:, 3]
     wf = np.append(wf, wf[0])
     base = th[0]
-    grid = base + 2.0 * math.pi * np.arange(angles + 1) / angles
-    strands = []
-    for s in range(n):
-        qs = grid + 2.0 * math.pi * s
-        re = np.interp(qs, th, wf.real)
-        im = np.interp(qs, th, wf.imag)
-        strands.append(re + 1j * im)
+    grid = base + np.append(np.unique(np.mod(th[:-1] - base, 2.0 * math.pi)),
+                            2.0 * math.pi)
+    strands = [np.interp(grid + 2.0 * math.pi * s, th, wf) for s in range(n)]
     # the wrap value is the next strand's first one, bit for bit, so that a
     # crossing at the base angle is seen once, by one of the two strand pairs
     for s in range(n):
@@ -228,7 +220,7 @@ def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
             c = strands[a] - strands[b]
             re, im = c.real, c.imag
             # a zero counts as positive, so that a chord crossing exactly at
-            # a grid angle (a symmetric slice) gives one flip, not none
+            # a sample angle (a symmetric slice) gives one flip, not none
             flips = np.nonzero((re[:-1] < 0) != (re[1:] < 0))[0]
             for j in flips:
                 frac = re[j] / (re[j] - re[j + 1])
@@ -240,29 +232,12 @@ def braid_from_knot(k: KnotCurve, angles: int = 2048) -> BraidDiagram:
                               % (2.0 * math.pi))
                 crossings.append((theta, a, b, sign))
     crossings.sort(key=lambda t: t[0])
-    return BraidDiagram(n_strands=n, thetas=grid[:-1] % (2.0 * math.pi),
-                        strands=tuple(strands), crossings=tuple(crossings))
+    return BraidDiagram(n_strands=n, crossings=tuple(crossings))
 
 
 def algebraic_crossing_number(b: BraidDiagram) -> int:
     """Signed crossing sum of the braid diagram."""
     return int(sum(c[3] for c in b.crossings))
-
-
-def stable_crossing_number(k: KnotCurve) -> int:
-    """Crossing sum at the first grid resolution stable across two doublings.
-
-    The grid starts at 1024 fiber angles and doubles up to 32768.
-    """
-    angles = 1024
-    values = []
-    while angles <= 32768:
-        values.append(algebraic_crossing_number(braid_from_knot(k, angles)))
-        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-            return values[-1]
-        angles *= 2
-    raise NonMonotoneFiberAngle(
-        f"crossing count failed to stabilize: {values}")
 
 
 def self_linking(e: int, N: int) -> int:
@@ -293,14 +268,27 @@ def _chord_polygon(path: np.ndarray, n: int):
 
 
 def _min_strand_gap(k: KnotCurve) -> float:
-    """Smallest distance between distinct sheets over matching fiber angles."""
-    try:
-        b = braid_from_knot(k, angles=512)
-    except NonMonotoneFiberAngle:
+    """Least (x3,x4)-distance between distinct sheets at equal fiber angle.
+
+    The sheets are the turns of the unwrapped fiber angle; each sample is
+    compared with the other sheets at its own angle.  inf when there is one
+    sheet, or when the fiber angle is not strictly monotone with integer
+    winding, so that the sheets are not defined.
+    """
+    q = k.samples
+    fiber = q[:, 0] + 1j * q[:, 1]
+    th = np.unwrap(np.angle(np.append(fiber, fiber[0])))
+    th = th * np.sign(th[-1] - th[0])
+    total = th[-1] - th[0]
+    n = int(round(total / (2.0 * math.pi)))
+    if (n < 2 or abs(total - 2.0 * math.pi * n) > 0.01
+            or np.any(np.diff(th) <= 0)):
         return math.inf
-    return min((float(np.min(np.abs(b.strands[i] - b.strands[j])))
-                for i, j in itertools.combinations(range(b.n_strands), 2)),
-               default=math.inf)
+    th = th[:-1]
+    wf = q[:, 2] + 1j * q[:, 3]
+    return min(float(np.min(np.abs(
+        wf - np.interp(th + 2.0 * math.pi * s, th, wf, period=total))))
+        for s in range(1, n))
 
 
 def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
@@ -337,9 +325,10 @@ def linking_number_gauss(k: KnotCurve,
                          pushoff_delta: float | None = None) -> float:
     """Linking number of the slice with its diagram-framing pushoff.
 
-    The pushoff displaces every sample by delta in one fixed direction of
-    the (x3,x4)-plane (chosen among a few candidates for maximal
-    clearance) and renormalizes to the sphere.  Both curves are then
+    The pushoff displaces every sample by delta (by default a quarter of
+    the least gap between sheets, measured here from the samples, not from
+    the braid) in one fixed direction of the (x3,x4)-plane (chosen among a
+    few candidates for maximal clearance) and renormalizes to the sphere.  Both curves are then
     projected stereographically from a pole far from both, and the Gauss
     sum is taken over the solid angles of segment pairs, which is the exact
     linking number of two polygons (Banchoff 1976).  So the polygons need
@@ -428,24 +417,22 @@ def contact_transversality_margin(k: KnotCurve, orientation: int) -> float:
 
 def select_eta(w: WeierstrassData, start: float = 0.1,
                min_eta: float = 1e-5) -> KnotCurve:
-    """Scan eta downward by halving until the slice braids consistently.
+    """Scan eta downward by halving until the slice braids on N strands.
 
-    Accepts the first eta where the winding matches N, the fiber angle is
-    monotone, and the crossing sum is stable under grid refinement, and
-    returns that slice; its `eta` is the accepted radius.  When no radius
-    down to min_eta is accepted, the TraceFailure names every eta tried
-    and what rejected it.
+    Accepts the first eta where the fiber angle is monotone along the slice
+    and its winding is N, and returns that slice; its `eta` is the accepted
+    radius.  When no radius down to min_eta is accepted, the TraceFailure
+    names every eta tried and what rejected it.
     """
     rejected = []
     eta = start
     while eta >= min_eta:
         try:
             k = trace_slice(w, eta)
-            b = braid_from_knot(k)
-            if b.n_strands == w.N:
-                stable_crossing_number(k)
+            n = braid_from_knot(k).n_strands
+            if n == w.N:
                 return k
-            rejected.append(f"{eta!r} (winding {b.n_strands} != N = {w.N})")
+            rejected.append(f"{eta!r} (winding {n} != N = {w.N})")
         except (TraceFailure, NonMonotoneFiberAngle, BranchOnSlice) as exc:
             rejected.append(f"{eta!r} ({type(exc).__name__})")
         eta *= 0.5
@@ -524,7 +511,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
     D = len(in_ball)
 
     b = braid_from_knot(k_base)
-    e = stable_crossing_number(k_base)
+    e = algebraic_crossing_number(b)
     lk = linking_number_gauss(k_base)
     N = w_base.N
     report = VerifyReport(
@@ -544,7 +531,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
         violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
     elif p is not None:
         k_t = trace_slice(deformed, eta)
-        report.e_deformed = stable_crossing_number(k_t)
+        report.e_deformed = algebraic_crossing_number(braid_from_knot(k_t))
         report.isotopy_ok = (report.e_deformed == e)
         if not report.isotopy_ok:
             violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
@@ -575,7 +562,7 @@ def orientation_identity_report(w_base: WeierstrassData, p: PerturbParams,
     N = w_base.N
 
     k_t = trace_slice(fm.deformed, eta)
-    e = stable_crossing_number(k_t)
+    e = algebraic_crossing_number(braid_from_knot(k_t))
     lk = linking_number_gauss(k_t)
 
     target = lambda ee: 2 * D == ee - (N - 1)

@@ -120,7 +120,7 @@ def test_criterion_06_dual_crossing_count(cusp, torus5, flat, cusp_knot,
     }
     results = {}
     for name, k in knots.items():
-        e = bk.stable_crossing_number(k)
+        e = bk.algebraic_crossing_number(bk.braid_from_knot(k))
         assert abs(bk.linking_number_gauss(k) - e) <= 1e-6
         results[name] = e
     _ok(6, f"gauss linking matches crossing sums: {results}")
@@ -135,14 +135,16 @@ def test_criterion_07_isotopy_stability(cusp):
         else:
             p = bk.PerturbParams(A=[0, 0], B=[-t * t, 0, 0], orientation=+1, t=t)
             w = bk.build_family_member(cusp, p).deformed
-        es_t.append(bk.stable_crossing_number(bk.trace_slice(w, 1e-2)))
+        es_t.append(bk.algebraic_crossing_number(
+            bk.braid_from_knot(bk.trace_slice(w, 1e-2))))
     assert len(set(es_t)) == 1
 
     p = bk.PerturbParams(A=[0, 0], B=[-t0 * t0, 0, 0], orientation=+1, t=t0)
     w = bk.build_family_member(cusp, p).deformed
     es_eta = []
     for eta in (0.01, 0.0215, 0.0464, 0.1):
-        es_eta.append(bk.stable_crossing_number(bk.trace_slice(w, eta)))
+        es_eta.append(bk.algebraic_crossing_number(
+            bk.braid_from_knot(bk.trace_slice(w, eta))))
     assert len(set(es_eta)) == 1
     assert es_t[0] == es_eta[0] == 3
     _ok(7, f"e constant over t grid {es_t} and over one eta decade {es_eta}")

@@ -108,9 +108,16 @@ class TestAnalyze:
 
 class TestDeform:
     def test_zero_scale_exit_code(self, capsys):
-        rc = run("deform", "--input", str(DATA / "cusp.json"),
-                 "--t", "0", "--seed", "1")
-        assert rc == 3
+        # a scale that is not finite and positive is refused before any draw,
+        # so no NaN coefficient reaches the root finder
+        for cmd, t in (("deform", "0"), ("deform", "nan"), ("deform", "inf"),
+                       ("verify", "nan")):
+            rc = run(cmd, "--input", str(DATA / "cusp.json"),
+                     "--t", t, "--seed", "1")
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "finite and > 0" in err
+            assert "LinAlgError" not in err and "RuntimeWarning" not in err
 
     def test_member_files(self, tmp_path, capsys):
         rc = run("deform", "--input", str(DATA / "four_function.json"),

@@ -93,7 +93,9 @@ class TestTraceSlice:
             bk.trace_slice(w, eta_hit)
 
     def test_csv_export(self, flat_knot):
-        text = flat_knot.csv_text()
+        buf = io.StringIO()
+        flat_knot.to_csv(buf)
+        text = buf.getvalue()
         header, first = text.splitlines()[:2]
         assert header == "theta,x1,x2,x3,x4,z_re,z_im"
         assert len(first.split(",")) == 7
@@ -106,6 +108,10 @@ class TestBraid:
         assert len(b.crossings) == 3
         assert all(c[3] == 1 for c in b.crossings)
         assert bk.algebraic_crossing_number(b) == 3
+        # the strands are +/- r^3 e^{3 i theta / 2}: their real parts meet
+        # where 3 theta / 2 = pi / 2 mod pi
+        thetas = [c[0] for c in b.crossings]
+        assert np.allclose(thetas, [np.pi / 3, np.pi, 5 * np.pi / 3], atol=1e-6)
 
     def test_flat_unknot(self, flat_knot):
         b = bk.braid_from_knot(flat_knot)
@@ -119,15 +125,37 @@ class TestBraid:
         assert len(b.crossings) == 5
         assert all(c[3] == 1 for c in b.crossings)
 
-    def test_stable_crossing_number(self, cusp_knot, torus_knot):
-        assert bk.stable_crossing_number(cusp_knot) == 3
-        assert bk.stable_crossing_number(torus_knot) == 5
+    def test_crossing_sum(self, cusp_knot, torus_knot):
+        assert bk.algebraic_crossing_number(bk.braid_from_knot(cusp_knot)) == 3
+        assert bk.algebraic_crossing_number(bk.braid_from_knot(torus_knot)) == 5
+
+    def test_twist_between_uniform_angles_is_counted(self):
+        # a 2-strand slice whose strands are +/- r e^{i psi(theta)}, with
+        # psi = theta / 2 (a slow half twist) plus a full twist inside a
+        # fiber-angle window 0.4 * 2 pi / 2048 wide that 64 extra samples
+        # resolve: crossing sum 3.  On a uniform 2048-angle grid the whole
+        # full twist falls between two grid angles and the sum reads 1.
+        h = 2 * np.pi / 2048
+        a, width = 326.3 * h, 0.4 * h
+        window = a + width * np.linspace(0.0, 1.0, 66)[1:-1]
+        phi = np.sort(np.concatenate([h * np.arange(2048), window]))
+        theta = np.concatenate([phi, phi + 2 * np.pi])
+        u = np.clip((np.mod(theta, 2 * np.pi) - a) / width, 0.0, 1.0)
+        psi = theta / 2 + 2 * np.pi * u * u * (3 - 2 * u)
+        r = 0.5
+        rho = math.sqrt(1 - r * r)
+        q = np.stack([rho * np.cos(theta), rho * np.sin(theta),
+                      r * np.cos(psi), r * np.sin(psi)], axis=1)
+        z = np.exp(2j * np.pi * np.arange(len(q)) / len(q))
+        b = bk.braid_from_knot(KnotCurve(samples=q, preimages=z, eta=1.0))
+        assert b.n_strands == 2
+        assert [c[3] for c in b.crossings] == [1, 1, 1]
 
     def test_mirror_data_gives_negative_crossings(self):
         w = bk.load([CPoly([0, 1]), CPoly([0, 0, 0, -8]),
                      CPoly([0, 0, 1]), CPoly([0, 0, 8])])
         k = bk.trace_slice(w, 0.05)
-        assert bk.stable_crossing_number(k) == -3
+        assert bk.algebraic_crossing_number(bk.braid_from_knot(k)) == -3
 
     def test_non_monotone_at_large_radius(self):
         w = bk.load([CPoly([0, 1]), CPoly([0, 0, 0, -8]),
@@ -174,6 +202,14 @@ class TestLinking:
         k = bk.select_eta(torus_curve(2, q, a=2.0))
         assert abs(bk.linking_number_gauss(k) - q) <= 1e-6
         assert sizes and sizes[0] > 75
+
+    def test_strand_gap_from_the_samples(self, cusp_knot, flat_knot):
+        # the cusp's sheets sit at +/- z^3 / eta with |z|^4 + |z|^6 = eta^2,
+        # so at equal fiber angle they are 2 |z|^3 / eta apart
+        r = np.abs(cusp_knot.preimages).mean()
+        gap = knot_module._min_strand_gap(cusp_knot)
+        assert abs(gap / (2 * r ** 3 / 1e-2) - 1) < 1e-4
+        assert knot_module._min_strand_gap(flat_knot) == math.inf
 
     def test_touching_pushoff_is_refused(self):
         # the four-function fixture has f3' = f4', so its slice lies in
@@ -290,8 +326,8 @@ def torus_curves(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(torus_curves())
-# real b and the ray at angle 0 make the strands meet exactly: at a braid
-# grid angle, and at the wrap angle
+# real b and the ray at angle 0 make the strands meet exactly: at a sample
+# angle, and at the wrap angle
 @example((5, 6, 1.0, 1.8611913601552512))
 @example((4, 5, -0.28181677442361797 + 0.9594682410864195j, 1.0))
 def test_complex_curve_slice_is_its_torus_knot(curve):
@@ -299,6 +335,7 @@ def test_complex_curve_slice_is_its_torus_knot(curve):
     # sum q(p - 1), by the braid and, within 1e-6, by the Gauss sum
     p, q, a, b = curve
     k = bk.trace_slice(torus_curve(p, q, a, b), 0.1)
-    assert bk.braid_from_knot(k).n_strands == p
-    assert bk.stable_crossing_number(k) == q * (p - 1)
+    b = bk.braid_from_knot(k)
+    assert b.n_strands == p
+    assert bk.algebraic_crossing_number(b) == q * (p - 1)
     assert abs(bk.linking_number_gauss(k) - q * (p - 1)) <= 1e-6
