@@ -4,19 +4,14 @@ branch-point knots and their braid invariants."""
 from .cpoly import CPoly
 from .weierstrass import (
     GaussValue,
-    TwoVector,
     WeierstrassData,
     branch_points,
     evaluate_F,
     gauss_maps,
-    grassmann_split,
-    hodge_star,
     jacobian,
     load,
-    symplectic_form,
     symplectic_positivity,
     tangent_plane,
-    wedge,
 )
 from .deformation import (
     FamilyMember,

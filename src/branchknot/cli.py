@@ -8,11 +8,12 @@ Subcommands mirror the pipeline stages:
   knot           trace the sphere slice, emit CSV polyline + braid JSON
   verify         run the full double-point / crossing-number identity check
 
-Exit codes: 0 success, 2 input validation failure (a tangent plane or
-Gauss map asked for at a branch point, a search region outside
-0 < radius <= 0.9 or with grid-n < 3, and a tolerance or slice radius
-eta that is not finite and positive included), 3 sampling exhausted
-(a scale t that is not finite and positive included),
+Exit codes: 0 success, 2 input validation failure (a file that cannot
+be read or written, a document that is not a JSON object or lacks a key,
+a tangent plane or Gauss map asked for at a branch point, a search
+region outside 0 < radius <= 0.9 or with grid-n < 3, and a tolerance or
+slice radius eta that is not finite and positive included), 3 sampling
+exhausted (a scale t that is not finite and positive included),
 4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
 routes disagree.
 """
@@ -55,7 +56,7 @@ _EXIT_CROSS_CHECK = 6
 _ERROR_CODES = [
     ((ConformalityViolation, OrderMismatch, OrderViolation,
       BranchPointInRegion, IndeterminateGauss, DegeneratePlane,
-      ValueError), _EXIT_VALIDATION),
+      ValueError, OSError), _EXIT_VALIDATION),
     ((SamplingExhausted,), _EXIT_SAMPLING),
     ((FormulaViolation,), _EXIT_FORMULA),
     ((TraceFailure, BranchOnSlice, NonMonotoneFiberAngle,
@@ -72,17 +73,34 @@ def _dump(obj, path: Path | None, as_json: bool):
         print(text)
 
 
-def _load_input(args) -> WeierstrassData:
-    with open(args.input) as fh:
+def _read_document(path: str, build, key: str):
+    """build(the JSON document in path).
+
+    A document that build cannot read, because it lacks a key or is not
+    a JSON object, raises ValueError naming path and the key.
+    """
+    with open(path) as fh:
         data = json.load(fh)
-    if args.tol:
-        data["conf_tol"] = args.tol.get("conf_tol", data.get("conf_tol", 1e-10))
-    return WeierstrassData.from_json_dict(data)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed document ({exc}); expected a "
+                         f"JSON object with key {key!r}") from None
+
+
+def _load_input(args) -> WeierstrassData:
+    def build(data):
+        if "conf_tol" in args.tol:
+            data["conf_tol"] = args.tol["conf_tol"]
+        return WeierstrassData.from_json_dict(data)
+
+    return _read_document(args.input, build, "fprime")
 
 
 def _load_params(path: str) -> deformation.PerturbParams:
-    with open(path) as fh:
-        return deformation.PerturbParams.from_json_dict(json.load(fh))
+    return _read_document(path, deformation.PerturbParams.from_json_dict, "A")
 
 
 def _orientation(args) -> int:
@@ -118,8 +136,8 @@ def cmd_analyze(args) -> int:
                       "gamma_plus": gp, "gamma_minus": gm})
     report["gauss_samples"] = gauss
     ring = 0.01 * np.exp(2j * np.pi * np.arange(32) / 32)
-    report["symplectic_min_plus"] = min(symplectic_positivity(w, z, +1) for z in ring)
-    report["symplectic_min_minus"] = min(symplectic_positivity(w, z, -1) for z in ring)
+    report["symplectic_min_plus"] = float(symplectic_positivity(w, ring, +1).min())
+    report["symplectic_min_minus"] = float(symplectic_positivity(w, ring, -1).min())
 
     out = Path(args.out_dir) / "analyze.json" if args.out_dir else None
     if out:
@@ -323,8 +341,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         for classes, code in _ERROR_CODES:
             if isinstance(exc, classes):
-                print(f"{type(exc).__name__}: {exc.args[0] if exc.args else exc}",
-                      file=sys.stderr)
+                # an OSError's args[0] is its errno; its str names the file
+                msg = (exc.args[0] if exc.args and not isinstance(exc, OSError)
+                       else exc)
+                print(f"{type(exc).__name__}: {msg}", file=sys.stderr)
                 return code
         raise
 

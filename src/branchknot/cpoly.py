@@ -50,14 +50,6 @@ class CPoly:
         return cls(a)
 
     @classmethod
-    def from_roots(cls, roots) -> "CPoly":
-        """The monic polynomial with these roots."""
-        p = cls([1.0])
-        for r in roots:
-            p = p * cls([-r, 1.0])
-        return p
-
-    @classmethod
     def from_pairs(cls, pairs) -> "CPoly":
         """Build from [[re, im], ...] (the wire format for coefficients)."""
         return cls([complex(re, im) for re, im in pairs])
@@ -74,9 +66,6 @@ class CPoly:
     @property
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
-
-    def coeff(self, k: int) -> complex:
-        return complex(self.coeffs[k]) if k < self.coeffs.size else 0j
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0

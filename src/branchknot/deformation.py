@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class PerturbParams:
         object.__setattr__(self, "B", np.asarray(self.B, np.complex128).ravel())
         if self.orientation not in (+1, -1):
             raise ValueError("orientation must be +1 or -1")
-
-    def scaled(self, s: float) -> "PerturbParams":
-        return replace(self, A=self.A * s, B=self.B * s, t=self.t * s)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PerturbParams":

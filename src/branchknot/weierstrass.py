@@ -7,9 +7,11 @@ f1..f4 (given through their derivatives f1'..f4') via
 
 subject to f1'*f2' + f3'*f4' = 0.  This module validates such data,
 evaluates the map and its differential, locates branch points, and
-computes the plane-geometry layer: wedge products in Lambda^2(R^4),
-Hodge star, self-dual/anti-self-dual splitting, tangent planes, the two
-sphere-valued tangent-plane maps and the associated positivity pairings.
+computes the plane geometry: tangent planes as the six Plucker
+coordinates of dF/dx ^ dF/dy, the two sphere-valued tangent-plane maps,
+and the positivity pairings with the self-dual and anti-self-dual parts
+of the reference plane e12, H0 = (e12 + e34)/sqrt2 and
+K0 = (e12 - e34)/sqrt2.
 
 Input data is assumed pre-normalized: branch point at z = 0, image of 0
 at the origin, tangent cone the (x1,x2)-plane.  No automatic rotation
@@ -34,109 +36,16 @@ from .errors import (
 )
 
 __all__ = [
-    "TwoVector",
     "GaussValue",
     "WeierstrassData",
     "load",
-    "wedge",
-    "hodge_star",
-    "grassmann_split",
     "evaluate_F",
     "jacobian",
     "branch_points",
     "tangent_plane",
-    "symplectic_form",
     "symplectic_positivity",
     "gauss_maps",
-    "H0",
-    "K0",
-    "E12",
 ]
-
-# ---------------------------------------------------------------------------
-# Lambda^2(R^4): 6-dimensional with orthonormal basis
-#   e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4   (this index order throughout)
-# ---------------------------------------------------------------------------
-
-_BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True)
-class TwoVector:
-    """Element of Lambda^2(R^4) in the fixed 6-dim orthonormal basis."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=np.float64).ravel()
-        if c.size != 6:
-            raise ValueError("TwoVector needs 6 components")
-        object.__setattr__(self, "components", c)
-        c.setflags(write=False)
-
-    def dot(self, other: "TwoVector") -> float:
-        return float(self.components @ other.components)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-    def plucker(self) -> float:
-        """c1*c6 - c2*c5 + c3*c4; zero iff the 2-vector is simple."""
-        c = self.components
-        return float(c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
-
-    def __add__(self, other):
-        return TwoVector(self.components + other.components)
-
-    def __sub__(self, other):
-        return TwoVector(self.components - other.components)
-
-    def __mul__(self, s):
-        return TwoVector(self.components * float(s))
-
-    __rmul__ = __mul__
-
-
-def wedge(u, v) -> TwoVector:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty(6)
-    for k, (i, j) in enumerate(_BASIS_PAIRS):
-        out[k] = u[i] * v[j] - u[j] * v[i]
-    return TwoVector(out)
-
-
-def hodge_star(v: TwoVector) -> TwoVector:
-    """Hodge star on Lambda^2(R^4); an involution.
-
-    Basis action: e1^e2 <-> e3^e4, e1^e4 <-> e2^e3, e1^e3 <-> -e2^e4.
-    """
-    c = v.components
-    return TwoVector([c[5], -c[4], c[3], c[2], -c[1], c[0]])
-
-
-def grassmann_split(P: TwoVector) -> tuple[TwoVector, TwoVector]:
-    """Self-dual / anti-self-dual parts (P + *P)/sqrt2, (P - *P)/sqrt2.
-
-    For a unit simple P both parts are unit vectors and P = (H + K)/sqrt2.
-    """
-    s = hodge_star(P)
-    inv = 1.0 / math.sqrt(2.0)
-    return TwoVector((P.components + s.components) * inv), \
-        TwoVector((P.components - s.components) * inv)
-
-
-E12 = TwoVector([1.0, 0, 0, 0, 0, 0])
-# splitting of the reference plane at the branch point; these induce the two
-# constant-coefficient symplectic pairings used for positivity checks
-H0, K0 = grassmann_split(E12)
-
-
-def symplectic_form(h0: TwoVector, u, v) -> float:
-    """<h0, u ^ v> for vectors u, v in R^4."""
-    return h0.dot(wedge(u, v))
-
 
 # ---------------------------------------------------------------------------
 # Sphere-valued tangent plane coordinates
@@ -304,24 +213,41 @@ def branch_points(w: WeierstrassData) -> list:
     return dedup
 
 
-def tangent_plane(w: WeierstrassData, z: complex) -> TwoVector:
-    """Oriented unit tangent 2-vector (dF/dx ^ dF/dy) / |...| at z."""
+# the Plucker coordinates of a plane, in this basis order:
+#   e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4
+_BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def tangent_plane(w: WeierstrassData, z) -> np.ndarray:
+    """Oriented unit tangent plane (dF/dx ^ dF/dy) / |...| at z.
+
+    Vectorized over arrays of z: the last axis holds the six Plucker
+    coordinates, so the shape is np.shape(z) + (6,).  Raises
+    DegeneratePlane when the differential vanishes at any of the points.
+    """
     fx, fy = jacobian(w, z)
-    p = wedge(fx, fy)
-    n = p.norm
-    if n <= 1e-12 * max(1.0, w.coeff_scale() ** 2):
-        raise DegeneratePlane(f"vanishing differential at z={z}")
-    return TwoVector(p.components / n)
+    p = np.stack([fx[..., i] * fy[..., j] - fx[..., j] * fy[..., i]
+                  for i, j in _BASIS_PAIRS], axis=-1)
+    n = np.linalg.norm(p, axis=-1, keepdims=True)
+    degenerate = n[..., 0] <= 1e-12 * max(1.0, w.coeff_scale() ** 2)
+    if degenerate.any():
+        bad = np.asarray(z)[degenerate]
+        raise DegeneratePlane(f"vanishing differential at z={bad[0]} "
+                              f"({bad.size} of {degenerate.size} points)")
+    return p / n
 
 
-def symplectic_positivity(w: WeierstrassData, z: complex, orientation: int) -> float:
+def symplectic_positivity(w: WeierstrassData, z, orientation: int):
     """<P(z), H0> for orientation +1, <P(z), K0> for orientation -1.
 
+    H0 = (e12 + e34)/sqrt2 and K0 = (e12 - e34)/sqrt2, so the pairing is
+    (P12 +- P34)/sqrt2; vectorized over arrays of z like tangent_plane.
     A positive value certifies the tangent plane symplectic for the
     corresponding constant-coefficient form.
     """
     P = tangent_plane(w, z)
-    return P.dot(H0 if orientation >= 0 else K0)
+    sign = 1.0 if orientation >= 0 else -1.0
+    return (P[..., 0] + sign * P[..., 5]) / math.sqrt(2.0)
 
 
 def gauss_maps(w: WeierstrassData, z: complex, cross_check_tol: float = 1e-10):

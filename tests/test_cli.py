@@ -23,6 +23,35 @@ def non_conformal(tmp_path, conf_tol=None) -> str:
     return str(path)
 
 
+# documents a command cannot read, written to the test's directory
+BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
+            "no_A.json": {"B": [[0, 0]] * 3}, "a_file": {}}
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--input", "{tmp}/missing.json"], ["missing.json"]),
+        (["analyze", "--input", "{tmp}/no_fprime.json"],
+         ["no_fprime.json", "'fprime'"]),
+        (["analyze", "--input", "{tmp}/a_list.json"],
+         ["a_list.json", "'fprime'"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/missing_params.json"], ["missing_params.json"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/no_A.json"], ["no_A.json", "'A'"]),
+        (["analyze", "--input", "{data}/cusp.json",
+          "--out-dir", "{tmp}/a_file/sub"], ["a_file"]),
+    ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
+            "params-without-A", "out-dir-under-file"])
+    def test_exit_code(self, argv, named, tmp_path, capsys):
+        for name, doc in BAD_DOCS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        rc = run(*(a.format(tmp=tmp_path, data=DATA) for a in argv))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(n in err for n in named), err
+
+
 class TestAnalyze:
     def test_cusp(self, tmp_path, capsys):
         rc = run("analyze", "--input", str(DATA / "cusp.json"),

@@ -1,10 +1,48 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import branchknot as bk
 from branchknot.cpoly import CPoly
 from branchknot.deformation import relabel_orders
 from branchknot.errors import SamplingExhausted
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# lengths of A and B on each base map, the same for both orientations
+PARAM_SIZES = {"cusp": (2, 3), "torus5": (2, 5), "ex4": (2, 3),
+               "mixed_strong": (2, 3)}
+
+
+@pytest.fixture(scope="module")
+def bases(cusp, torus5, ex4):
+    mixed = json.loads((DATA / "mixed_strong.json").read_text())
+    return {"cusp": cusp, "torus5": torus5, "ex4": ex4,
+            "mixed_strong": bk.WeierstrassData.from_json_dict(mixed)}
+
+
+def ball_vector(size):
+    """A complex vector of norm <= 1."""
+    return st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=size, max_size=size).map(
+        lambda v: np.array(v) / max(1.0, np.linalg.norm(v)))
+
+
+@st.composite
+def family_draws(draw):
+    name = draw(st.sampled_from(sorted(PARAM_SIZES)))
+    nA, nB = PARAM_SIZES[name]
+    t = draw(st.floats(0.0, 0.1, exclude_min=True))
+    return name, bk.PerturbParams(A=t * draw(ball_vector(nA)),
+                                  B=t * draw(ball_vector(nB)),
+                                  orientation=draw(st.sampled_from([1, -1])),
+                                  t=t)
 
 
 def coeffs_equal(p, q):
@@ -85,6 +123,22 @@ class TestBuild:
         assert fm.deformed.conformality_residual() <= 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(family_draws())
+def test_members_stay_conformal(bases, draw):
+    name, p = draw
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fm = bk.build_family_member(bases[name], p)
+    # a draw with a0 = b0 = 0 leaves a branch point at 0, which the
+    # member's load reports as outside normal form; no other warning may come
+    for w in caught:
+        assert "not in branch normal form" in str(w.message)
+        assert fm.deformed.N > 1
+    scale = max(1.0, max(q.max_abs_coeff() for q in fm.h) ** 2)
+    assert fm.deformed.conformality_residual() <= 1e-12 * scale
+
+
 class TestContinuity:
     def test_member_approaches_base(self, ex4):
         rng = np.random.default_rng(7)
@@ -151,12 +205,6 @@ class TestSampling:
         p = bk.sample_generic(ex4, 0.02, 5)
         fm = bk.build_family_member(ex4, p)
         assert all(abs(b) > 0.9 for b in bk.branch_points(fm.deformed))
-
-    def test_scaled_params(self, ex4):
-        p = bk.sample_generic(ex4, 0.05, 1)
-        half = p.scaled(0.5)
-        assert np.allclose(half.A, 0.5 * p.A)
-        assert half.t == pytest.approx(0.5 * p.t)
 
 
 class TestGaussInvariance:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import branchknot as bk
 from branchknot.cpoly import CPoly
@@ -12,7 +13,7 @@ from branchknot.errors import (
     IndeterminateGauss,
     OrderMismatch,
 )
-from branchknot.weierstrass import E12, H0, K0, GaussValue, TwoVector, wedge
+from branchknot.weierstrass import GaussValue
 
 
 class TestLoad:
@@ -103,81 +104,96 @@ class TestBranchPoints:
         assert bk.branch_points(w) == []
 
 
-class TestTwoVectors:
-    def test_hodge_basis_action(self):
-        e12 = TwoVector([1, 0, 0, 0, 0, 0])
-        assert np.allclose(bk.hodge_star(e12).components, [0, 0, 0, 0, 0, 1])
-        e13 = TwoVector([0, 1, 0, 0, 0, 0])
-        assert np.allclose(bk.hodge_star(e13).components, [0, 0, 0, 0, -1, 0])
+E12 = np.array([1.0, 0, 0, 0, 0, 0])
 
-    def test_hodge_involution(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            v = TwoVector(rng.standard_normal(6))
-            assert np.allclose(bk.hodge_star(bk.hodge_star(v)).components,
-                               v.components)
 
-    def test_split_of_reference_plane(self):
-        H, K = bk.grassmann_split(E12)
-        s = 1 / math.sqrt(2)
-        assert np.allclose(H.components, [s, 0, 0, 0, 0, s])
-        assert np.allclose(K.components, [s, 0, 0, 0, 0, -s])
+def plucker(P):
+    """c0*c5 - c1*c4 + c2*c3; zero iff the 2-vector is simple."""
+    return P[0] * P[5] - P[1] * P[4] + P[2] * P[3]
 
-    def test_split_of_dual_plane(self):
-        e34 = TwoVector([0, 0, 0, 0, 0, 1])
-        H, K = bk.grassmann_split(e34)
-        assert np.allclose(H.components, H0.components)
-        assert np.allclose(K.components, -K0.components)
 
-    def test_split_norms_and_reassembly(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            u = rng.standard_normal(4)
-            v = rng.standard_normal(4)
-            P = wedge(u, v)
-            if P.norm < 1e-3:
-                continue
-            P = TwoVector(P.components / P.norm)
-            H, K = bk.grassmann_split(P)
-            assert abs(H.norm - 1) < 1e-12
-            assert abs(K.norm - 1) < 1e-12
-            back = (H + K) * (1 / math.sqrt(2))
-            assert np.abs(back.components - P.components).max() < 1e-14
+def ring_grid():
+    return (np.linspace(0.05, 0.95, 10)[:, None]
+            * np.exp(2j * np.pi * np.arange(16) / 16))
 
 
 class TestTangentPlane:
     def test_flat_plane(self, flat):
         P = bk.tangent_plane(flat, 0.3 + 0.1j)
-        assert np.allclose(P.components, E12.components)
+        assert np.allclose(P, E12)
 
     def test_plucker_and_norm(self, ex4):
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
             P = bk.tangent_plane(ex4, z)
-            assert abs(P.plucker()) < 1e-12
-            assert abs(P.norm - 1) < 1e-12
+            assert abs(plucker(P)) < 1e-12
+            assert abs(np.linalg.norm(P) - 1) < 1e-12
 
     def test_limit_at_branch_point(self, ex4):
         P = bk.tangent_plane(ex4, 1e-3)
-        assert np.abs(P.components - E12.components).max() < 1e-2
+        assert np.abs(P - E12).max() < 1e-2
 
     def test_degenerate_at_branch(self, ex4):
         with pytest.raises(DegeneratePlane):
             bk.tangent_plane(ex4, 0.0)
 
+    def test_array_matches_pointwise(self, ex4):
+        zs = ring_grid()
+        P = bk.tangent_plane(ex4, zs)
+        assert P.shape == zs.shape + (6,)
+        pointwise = np.array([[bk.tangent_plane(ex4, z) for z in row]
+                              for row in zs])
+        assert np.abs(P - pointwise).max() <= 1e-15
+
+    def test_degenerate_anywhere_in_an_array(self, ex4):
+        zs = np.array([0.5, 0.0, 0.3j])
+        with pytest.raises(DegeneratePlane, match="1 of 3 points"):
+            bk.tangent_plane(ex4, zs)
+
+
+@st.composite
+def complex_curves(draw):
+    """z -> (f(z), g(z)) with f' = a p z^(p-1) and g' of order >= p.
+
+    The only zero of f' is 0, so every z != 0 is an immersed point, and the
+    data is in branch normal form.
+    """
+    p = draw(st.integers(1, 4))
+    a = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0,
+                                allow_nan=False, allow_infinity=False))
+    g = draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                         allow_infinity=False),
+                      min_size=1, max_size=5))
+    return bk.load([CPoly([0] * (p - 1) + [p * a]), CPoly.zero(),
+                    CPoly([0] * p + g), CPoly.zero()])
+
+
+def assert_calibrated(w):
+    # e12 + e34 calibrates complex lines: P12 + P34 = 1 on every one, and
+    # P12 - P34 = (|f'|^2 - |g'|^2) / (|f'|^2 + |g'|^2)
+    zs = ring_grid()
+    v = bk.symplectic_positivity(w, zs, +1)
+    assert v.shape == zs.shape
+    assert np.abs(v - 1 / math.sqrt(2)).max() <= 1e-14
+    d1, d3 = np.abs(w.fprime[0](zs)) ** 2, np.abs(w.fprime[2](zs)) ** 2
+    v = bk.symplectic_positivity(w, zs, -1)
+    assert np.abs(v - (d1 - d3) / (d1 + d3) / math.sqrt(2)).max() <= 1e-14
+
 
 class TestSymplectic:
-    def test_reference_values(self):
-        s = 1 / math.sqrt(2)
-        e1, e2, e3 = np.eye(4)[0], np.eye(4)[1], np.eye(4)[2]
-        assert abs(bk.symplectic_form(H0, e1, e2) - s) < 1e-15
-        assert bk.symplectic_form(H0, e1, e1) == 0.0
-        assert abs(bk.symplectic_form(H0, e1, e3)) < 1e-15
+    def test_reference_values(self, flat):
+        # the flat plane e12 pairs to 1/sqrt2 with both H0 and K0
+        for orientation in (+1, -1):
+            v = bk.symplectic_positivity(flat, 0.2, orientation)
+            assert abs(v - 1 / math.sqrt(2)) < 1e-15
 
     def test_orientation_reversal_flips_sign(self):
-        e1, e2 = np.eye(4)[0], np.eye(4)[1]
-        assert bk.symplectic_form(H0, e2, e1) < 0
+        # F = conj(z) traverses the (x1,x2)-plane with reversed orientation
+        conj = bk.load([CPoly.zero(), CPoly([1]), CPoly.zero(), CPoly.zero()])
+        for orientation in (+1, -1):
+            v = bk.symplectic_positivity(conj, 0.2, orientation)
+            assert abs(v + 1 / math.sqrt(2)) < 1e-15
 
     def test_flat_plane_value(self, flat):
         v = bk.symplectic_positivity(flat, 0.2, +1)
@@ -187,6 +203,15 @@ class TestSymplectic:
         for z in 0.01 * np.exp(2j * np.pi * np.arange(64) / 64):
             assert bk.symplectic_positivity(ex4, z, +1) > 0
             assert bk.symplectic_positivity(ex4, z, -1) > 0
+
+    @pytest.mark.parametrize("name", ["cusp", "torus5"])
+    def test_complex_curve_fixtures_calibrated(self, name, request):
+        assert_calibrated(request.getfixturevalue(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(complex_curves())
+    def test_complex_curves_calibrated(self, w):
+        assert_calibrated(w)
 
 
 class TestGaussMaps:
