@@ -77,7 +77,8 @@ def _read_document(path: str, build, key: str):
     """build(the JSON document in path).
 
     A document that build cannot read, because it lacks a key or is not
-    a JSON object, raises ValueError naming path and the key.
+    a JSON object, raises ValueError naming path and the key; a value
+    that build refuses raises ValueError naming path.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -85,6 +86,8 @@ def _read_document(path: str, build, key: str):
         return build(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: malformed document ({exc}); expected a "
                          f"JSON object with key {key!r}") from None

@@ -51,7 +51,14 @@ class CPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "CPoly":
-        """Build from [[re, im], ...] (the wire format for coefficients)."""
+        """Build from [[re, im], ...] (the wire format for coefficients).
+
+        Raises ValueError naming the first entry that is not a pair.
+        """
+        for i, pair in enumerate(pairs):
+            if len(pair) != 2:
+                raise ValueError(f"coefficient {i} must be a pair [re, im], "
+                                 f"got {pair!r}")
         return cls([complex(re, im) for re, im in pairs])
 
     def to_pairs(self) -> list:

@@ -62,9 +62,13 @@ class PerturbParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PerturbParams":
+        orientation = d.get("orientation", "+")
+        if orientation not in ("+", "-"):
+            raise ValueError(f"orientation must be \"+\" or \"-\", "
+                             f"got {orientation!r}")
         return cls(A=np.array([complex(re, im) for re, im in d["A"]]),
                    B=np.array([complex(re, im) for re, im in d["B"]]),
-                   orientation=+1 if d.get("orientation", "+") == "+" else -1,
+                   orientation=+1 if orientation == "+" else -1,
                    t=float(d.get("t", 0.0)))
 
     def to_json_dict(self) -> dict:

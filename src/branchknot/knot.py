@@ -24,7 +24,6 @@ of the strands to the count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -69,15 +68,18 @@ class KnotCurve:
         return np.angle(self.samples[:, 0] + 1j * self.samples[:, 1])
 
     def to_csv(self, fh) -> None:
-        """Columns: theta, x1..x4, z_re, z_im (theta = fiber angle)."""
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "x1", "x2", "x3", "x4", "z_re", "z_im"])
-        th = self.fiber_angles()
-        for i in range(self.samples.shape[0]):
-            writer.writerow([f"{th[i]:.12g}",
-                             *(f"{x:.15g}" for x in self.samples[i]),
-                             f"{self.preimages[i].real:.15g}",
-                             f"{self.preimages[i].imag:.15g}"])
+        """Columns: theta, x1..x4, z_re, z_im (theta = fiber angle).
+
+        Rows end in CRLF, as the csv module writes them.
+        """
+        cols = np.column_stack([self.fiber_angles(), self.samples,
+                                self.preimages.real, self.preimages.imag])
+        row = "%.12g" + ",%.15g" * 6 + "\r\n"
+        fh.write("theta,x1,x2,x3,x4,z_re,z_im\r\n")
+        # one format call per block of rows keeps the text in memory small
+        for i in range(0, len(cols), 256):
+            block = cols[i:i + 256]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
 
     Near a branch point |F| ~ |z|^N, so the slice meets each ray from the
     origin once.  Each ray is scanned on the _SCAN_RADII grid, one radius
-    at a time over all rays, and its bracket is refined by _BISECTIONS
-    array bisection steps; the samples are F(z)/|F(z)| at the roots, in
+    at a time over all rays, and its bracket is refined by at most
+    _BISECTIONS array bisection steps, which stop once every bracket is
+    two adjacent floats; the samples are F(z)/|F(z)| at the roots, in
     counterclockwise order of their rays.  The radial-graph property is
     certified on every ray: the scan starts below eta, crosses it once
     and never comes back below it, and d|F|^2/dr > 0 at the root.
@@ -151,6 +154,9 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
     a, b = _SCAN_RADII[hi - 1], _SCAN_RADII[hi]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (a + b)
+        # every bracket is two adjacent floats: later steps change nothing
+        if np.all((mid == a) | (mid == b)):
+            break
         inside = np.linalg.norm(evaluate_F(w, mid * dirs), axis=1) < eta
         a = np.where(inside, mid, a)
         b = np.where(inside, b, mid)
@@ -251,6 +257,10 @@ def self_linking(e: int, N: int) -> int:
 
 # first polygon size of the Gauss sum; it doubles until the polygons fit
 _GAUSS_START = 150
+# pushoff directions tried in the (x3,x4)-plane, and the sample stride on
+# which they are ranked
+_PUSHOFF_DIRECTIONS = 16
+_PUSHOFF_STRIDE = 16
 
 
 def _chord_polygon(path: np.ndarray, n: int):
@@ -327,11 +337,16 @@ def linking_number_gauss(k: KnotCurve,
 
     The pushoff displaces every sample by delta (by default a quarter of
     the least gap between sheets, measured here from the samples, not from
-    the braid) in one fixed direction of the (x3,x4)-plane (chosen among a
-    few candidates for maximal clearance) and renormalizes to the sphere.  Both curves are then
-    projected stereographically from a pole far from both, and the Gauss
-    sum is taken over the solid angles of segment pairs, which is the exact
-    linking number of two polygons (Banchoff 1976).  So the polygons need
+    the braid) in one fixed direction of the (x3,x4)-plane and renormalizes
+    to the sphere.  The direction is one of _PUSHOFF_DIRECTIONS evenly
+    spaced ones: each is ranked by the least distance from its pushoff of
+    every _PUSHOFF_STRIDE-th sample to the slice, and the best ranked one
+    is taken.  Its clearance, the least distance from its full pushoff to
+    the slice, must be at least 0.1 delta, or PushoffCollision is raised.
+    Both curves are then projected stereographically from a pole far from
+    both, and the Gauss sum is taken over the solid angles of segment
+    pairs, which is the exact linking number of two polygons (Banchoff
+    1976).  So the polygons need
     only link as the curves do: each keeps _GAUSS_START of its samples,
     doubled until every sample of both projected curves lies within half
     their clearance (the least distance between their samples) of the
@@ -346,17 +361,18 @@ def linking_number_gauss(k: KnotCurve,
         pushoff_delta = 0.05 if not math.isfinite(gap) else 0.25 * gap
     delta = float(pushoff_delta)
 
+    def pushoff(x, disp):
+        y = x + delta * disp
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+    beta = np.linspace(0.0, 2.0 * math.pi, _PUSHOFF_DIRECTIONS, endpoint=False)
+    disps = np.zeros((_PUSHOFF_DIRECTIONS, 4))
+    disps[:, 2], disps[:, 3] = np.cos(beta), np.sin(beta)
     tree = cKDTree(q)
-    best = None
-    for beta in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-        disp = np.zeros(4)
-        disp[2], disp[3] = math.cos(beta), math.sin(beta)
-        cand = q + delta * disp
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        clearance = float(tree.query(cand)[0].min())
-        if best is None or clearance > best[0]:
-            best = (clearance, cand)
-    clearance, qhat = best
+    sub = pushoff(q[None, ::_PUSHOFF_STRIDE], disps[:, None])
+    ranks = tree.query(sub.reshape(-1, 4))[0].reshape(len(sub), -1).min(axis=1)
+    qhat = pushoff(q, disps[int(np.argmax(ranks))])
+    clearance = float(tree.query(qhat)[0].min())
     if clearance < 0.1 * delta:
         raise PushoffCollision(
             f"pushoff clearance {clearance:.2e} too small for delta={delta:.2e}")

@@ -25,7 +25,12 @@ def non_conformal(tmp_path, conf_tol=None) -> str:
 
 # documents a command cannot read, written to the test's directory
 BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
-            "no_A.json": {"B": [[0, 0]] * 3}, "a_file": {}}
+            "no_A.json": {"B": [[0, 0]] * 3}, "a_file": {},
+            "short_pair.json": {"fprime": [[[1]], [], [], []]},
+            "orientation_x.json": {"A": [[0, 0]] * 2, "B": [[0, 0]] * 3,
+                                   "orientation": "x"},
+            "orientation_1.json": {"A": [[0, 0]] * 2, "B": [[0, 0]] * 3,
+                                   "orientation": 1}}
 
 
 class TestBadFiles:
@@ -41,8 +46,17 @@ class TestBadFiles:
           "--params", "{tmp}/no_A.json"], ["no_A.json", "'A'"]),
         (["analyze", "--input", "{data}/cusp.json",
           "--out-dir", "{tmp}/a_file/sub"], ["a_file"]),
+        (["analyze", "--input", "{tmp}/short_pair.json"],
+         ["short_pair.json", "coefficient 0"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/orientation_x.json"],
+         ["orientation_x.json", "orientation"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/orientation_1.json"],
+         ["orientation_1.json", "orientation"]),
     ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
-            "params-without-A", "out-dir-under-file"])
+            "params-without-A", "out-dir-under-file", "short-coefficient-pair",
+            "orientation-string", "orientation-number"])
     def test_exit_code(self, argv, named, tmp_path, capsys):
         for name, doc in BAD_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -50,6 +64,7 @@ class TestBadFiles:
         assert rc == 2
         err = capsys.readouterr().err
         assert all(n in err for n in named), err
+        assert "unpack" not in err
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -99,6 +100,51 @@ class TestTraceSlice:
         header, first = text.splitlines()[:2]
         assert header == "theta,x1,x2,x3,x4,z_re,z_im"
         assert len(first.split(",")) == 7
+
+    def test_csv_matches_a_csv_writer(self, flat_knot):
+        # signed zeros, a negative fiber angle and values that need all
+        # 15 significant digits
+        hand = KnotCurve(
+            samples=np.array([[1.0, -0.0, 0.1234567890123456, -1 / 3],
+                              [-0.6, -0.8, 2.0 ** -40, 1e-300],
+                              [-0.0, 1.0, -0.0, 123456.789012345678]]),
+            preimages=np.array([complex(-0.0, 0.0), complex(1 / 7, -2 / 3),
+                                complex(1e20, -1e-20)]),
+            eta=0.1)
+        for k in (hand, flat_knot):
+            ref = io.StringIO()
+            writer = csv.writer(ref)
+            writer.writerow(["theta", "x1", "x2", "x3", "x4", "z_re", "z_im"])
+            th = k.fiber_angles()
+            for i in range(len(k.samples)):
+                writer.writerow([f"{th[i]:.12g}",
+                                 *(f"{x:.15g}" for x in k.samples[i]),
+                                 f"{k.preimages[i].real:.15g}",
+                                 f"{k.preimages[i].imag:.15g}"])
+            buf = io.StringIO()
+            k.to_csv(buf)
+            assert buf.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 4)])
+    def test_bisection_stops_at_its_fixed_point(self, p, q, monkeypatch):
+        # once every bracket is two adjacent floats the loop ends: a larger
+        # step budget evaluates F no more often and moves no preimage, so
+        # the default budget reaches that point
+        w = torus_curve(p, q)
+        calls = []
+        real = knot_module.evaluate_F
+
+        def spy(w, z):
+            calls.append(1)
+            return real(w, z)
+
+        monkeypatch.setattr(knot_module, "evaluate_F", spy)
+        k = bk.trace_slice(w, 0.05)
+        n_default = len(calls)
+        monkeypatch.setattr(knot_module, "_BISECTIONS", 200)
+        calls.clear()
+        assert np.array_equal(bk.trace_slice(w, 0.05).preimages, k.preimages)
+        assert len(calls) == n_default
 
 
 class TestBraid:
@@ -210,6 +256,15 @@ class TestLinking:
         gap = knot_module._min_strand_gap(cusp_knot)
         assert abs(gap / (2 * r ** 3 / 1e-2) - 1) < 1e-4
         assert knot_module._min_strand_gap(flat_knot) == math.inf
+
+    def test_pushoff_direction_is_ranked(self):
+        # on this slice the pushoff in direction 0 of the (x3,x4)-plane
+        # clears the slice by less than the 0.1 delta floor; the ranked
+        # direction links it with the braid's crossing sum
+        data = json.loads((DATA / "mixed_strong.json").read_text())
+        k = bk.trace_slice(WeierstrassData.from_json_dict(data), 0.1)
+        assert bk.algebraic_crossing_number(bk.braid_from_knot(k)) == -3
+        assert abs(bk.linking_number_gauss(k) + 3) <= 1e-6
 
     def test_touching_pushoff_is_refused(self):
         # the four-function fixture has f3' = f4', so its slice lies in
