@@ -33,6 +33,10 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
     Returns the final pairs, their residuals |F(z1) - F(z2)| and a mask
     of the seeds that reached tol.  A seed whose 4x4 Jacobian is singular
     (a preimage at a branch point) stops where it is, with ok False.
+
+    The residual vector F(z1) - F(z2) of the damping trial that was kept
+    is stored and is the next iteration's right-hand side, so the map is
+    evaluated once per trial and never twice at the same points.
     """
     z1 = np.array(z1, np.complex128)
     z2 = np.array(z2, np.complex128)
@@ -40,14 +44,15 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
     n = z1.size
     ok = np.zeros(n, bool)
     alive = np.ones(n, bool)
-    resid = np.linalg.norm(evaluate_F(w, z1) - evaluate_F(w, z2), axis=1)
+    rvec = evaluate_F(w, z1) - evaluate_F(w, z2)
+    resid = np.linalg.norm(rvec, axis=1)
 
     for _ in range(max_iter):
         idx = np.nonzero(alive & ~ok)[0]
         if idx.size == 0:
             break
         a, b = z1[idx], z2[idx]
-        r = evaluate_F(w, a) - evaluate_F(w, b)
+        r = rvec[idx]
         fx1, fy1 = jacobian(w, a)
         fx2, fy2 = jacobian(w, b)
         J = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)  # (k,4,4) columns
@@ -62,17 +67,16 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
         base1, base2 = z1[idx], z2[idx]
         cur = resid[idx]
         step = np.ones(idx.size)
-        n1 = base1.copy()
-        n2 = base2.copy()
         for _half in range(9):
             n1 = base1 + step * (delta[:, 0] + 1j * delta[:, 1])
             n2 = base2 + step * (delta[:, 2] + 1j * delta[:, 3])
-            new = np.linalg.norm(evaluate_F(w, n1) - evaluate_F(w, n2), axis=1)
+            trial = evaluate_F(w, n1) - evaluate_F(w, n2)
+            new = np.linalg.norm(trial, axis=1)
             worse = new > cur
             if not worse.any():
                 break
             step[worse] *= 0.5
-        z1[idx], z2[idx], resid[idx] = n1, n2, new
+        z1[idx], z2[idx], resid[idx], rvec[idx] = n1, n2, new, trial
         ok[idx] = new <= tol
     return z1, z2, resid, ok
 

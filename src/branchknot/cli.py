@@ -11,7 +11,7 @@ Subcommands mirror the pipeline stages:
 Exit codes: 0 success, 2 input validation failure (a file that cannot
 be read or written, a document that is not a JSON object or lacks a key,
 a tangent plane or Gauss map asked for at a branch point, a search
-region outside 0 < radius <= 0.9 or with grid-n < 3, and a tolerance or
+region outside 0 < radius <= 0.9 or with grid-n < 5, and a tolerance or
 slice radius eta that is not finite and positive included), 3 sampling
 exhausted (a scale t that is not finite and positive included),
 4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map

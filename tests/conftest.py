@@ -1,6 +1,7 @@
 import pytest
 
 import branchknot as bk
+from branchknot import _kernels
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +72,24 @@ def oracle_counts(cusp_member, torus_member, flat):
         "torus": bk.brute_force_double_points(torus_member.deformed, 0.5, 400),
         "flat": bk.brute_force_double_points(flat, 0.5, 400),
     }
+
+
+class _Captured(Exception):
+    """Stops a search once a patched step has recorded its arguments."""
+
+
+@pytest.fixture(scope="session")
+def search_seeds(cusp_member, torus_member):
+    """The Newton seeds find_double_points hands over at grid 48."""
+    seeds = {}
+    for name, fm in (("cusp_member", cusp_member),
+                     ("torus_member", torus_member)):
+        def capture(z1, z2, *args, name=name, w=fm.deformed):
+            seeds[name] = (w, z1, z2)
+            raise _Captured
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_kernels, "newton_double_points", capture)
+            with pytest.raises(_Captured):
+                bk.find_double_points(fm.deformed, 0.5, 48)
+    return seeds

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from branchknot import cli, knot
+from branchknot import cli, deformation, intersect, knot
+from branchknot.weierstrass import WeierstrassData
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -240,12 +244,58 @@ class TestDoublePoints:
     @pytest.mark.parametrize("argv", [
         ["double-points", "--radius", "-0.5"],
         ["double-points", "--grid-n", "2"],
+        ["double-points", "--grid-n", "4"],
         ["verify", "--eta", "0.5", "--grid-n", "1"],
-    ], ids=["negative-radius", "grid-n-2", "verify-grid-n-1"])
+    ], ids=["negative-radius", "grid-n-2", "grid-n-4", "verify-grid-n-1"])
     def test_out_of_range_region_exit_code(self, argv, capsys):
+        # below grid 5 no two grid points are farther apart than the
+        # search's separation floor, so it could only ever report none
         rc = run(*argv, "--input", str(DATA / "flat_plane.json"))
         assert rc == 2
         assert "ValueError" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sampled_cusp(tmp_path_factory):
+    """A sampled cusp member's params file, and for each of its double
+    points the larger preimage modulus (from a grid-48 search of the whole
+    admissible disk)."""
+    w = WeierstrassData.from_json_dict(json.loads((DATA / "cusp.json").read_text()))
+    p = deformation.sample_generic(w, 0.05, 1, orientation=+1)
+    path = tmp_path_factory.mktemp("sampled_cusp") / "params.json"
+    path.write_text(json.dumps(p.to_json_dict()))
+    deformed = deformation.build_family_member(w, p).deformed
+    dps = intersect.find_double_points(deformed, 0.9, 48)
+    assert dps
+    return str(path), [max(abs(dp.z1), abs(dp.z2)) for dp in dps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cusp=st.booleans(),
+       radius=st.sampled_from(["nan", "inf", "-0.5", "0", "1e-300", "0.3",
+                               "0.9", "0.95"]),
+       grid_n=st.integers(-2, 40),
+       newton_tol=st.sampled_from([None, "nan", "0", "-1", "1e-12"]))
+def test_double_points_exit_code_is_documented(sampled_cusp, cusp, radius,
+                                               grid_n, newton_tol):
+    params, moduli = sampled_cusp
+    argv = ["double-points", "--radius", radius, "--grid-n", str(grid_n),
+            "--json"]
+    argv += (["--input", str(DATA / "cusp.json"), "--params", params] if cusp
+             else ["--input", str(DATA / "flat_plane.json")])
+    if newton_tol is not None:
+        argv += ["--tol", f"newton_tol={newton_tol}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)   # an exception here escaped main
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1
+        return
+    # the flat plane is embedded; the member's double points count when
+    # both preimages lie in the disk
+    expect = sum(m <= float(radius) for m in moduli) if cusp else 0
+    assert len(json.loads(out.getvalue())) == expect
 
 
 class TestKnot:

@@ -1,17 +1,20 @@
 import json
+import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import branchknot as bk
-from branchknot import _kernels
+from branchknot import _kernels, intersect
 from branchknot.cpoly import CPoly
 from branchknot.errors import BranchPointInRegion
 from branchknot.intersect import DoublePoint, _merge_pairs
 
 CUSP_T = 0.05
+NEWTON_TOL = 1e-12
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -155,6 +158,194 @@ class TestMergePairs:
     def test_empty(self):
         empty = np.zeros(0, np.complex128)
         assert _merge_pairs(empty, empty, np.zeros(0), 1e-6) == []
+
+
+def _bucket_keys(pts, img, pairs, radius, cell):
+    """Each pair's unordered cell-pair key and image mismatch, computed
+    the way the thinning step computes them."""
+    nc = int(2.0 * radius / cell) + 2
+    cellid = (((pts.real + radius) // cell).astype(np.int64) * nc
+              + ((pts.imag + radius) // cell).astype(np.int64))
+    c0, c1 = cellid[pairs[:, 0]], cellid[pairs[:, 1]]
+    key = np.minimum(c0, c1) * nc * nc + np.maximum(c0, c1)
+    mism = np.linalg.norm(img[pairs[:, 0]] - img[pairs[:, 1]], axis=1)
+    return key, mism
+
+
+def _thin_seeds_lexsort(pts, img, pairs, radius, cell):
+    """The sorting thinning step, kept as the reference: a stable lexsort
+    by (key, mismatch) and the first pair of each key's run."""
+    key, mism = _bucket_keys(pts, img, pairs, radius, cell)
+    order = np.lexsort((mism, key))
+    first = np.ones(order.size, bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    return pairs[order[first]]
+
+
+def _tied_buckets(pts, img, pairs, radius, cell):
+    """Number of buckets whose least mismatch more than one pair attains."""
+    key, mism = _bucket_keys(pts, img, pairs, radius, cell)
+    order = np.lexsort((mism, key))
+    key, mism = key[order], mism[order]
+    start = np.ones(key.size, bool)
+    start[1:] = key[1:] != key[:-1]
+    at_min = mism == mism[start][np.cumsum(start) - 1]
+    _, counts = np.unique(key[at_min], return_counts=True)
+    return int((counts > 1).sum())
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestThinSeeds:
+    """The linear per-bucket minimum against the lexsort reference."""
+
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("member", ["flat", "cusp_member", "torus_member"])
+    def test_matches_lexsort_on_search_pairs(self, member, n, request,
+                                             monkeypatch):
+        w = request.getfixturevalue(member)
+        w = getattr(w, "deformed", w)
+        captured = []
+
+        def capture(*args):
+            captured.append(args)
+            raise _Captured   # the pairs are all this test needs
+
+        monkeypatch.setattr(intersect, "_thin_seeds", capture)
+        with pytest.raises(_Captured):
+            bk.find_double_points(w, 0.5, n)
+        monkeypatch.undo()
+        (args,) = captured
+        got = intersect._thin_seeds(*args)
+        assert np.array_equal(got, _thin_seeds_lexsort(*args))
+        if (member, n) == ("flat", 48):
+            # exact ties decide the representative in over a thousand buckets
+            assert _tied_buckets(*args) > 1000
+
+    @staticmethod
+    def _synthetic(rng, n_pairs, n_pts=20):
+        # cell 0.4 on a 0.5 disk: a 4**4 = 256 entry bucket table, so 300
+        # pairs index it by key and 40 pairs by rank; images with 0/1
+        # coordinates make many mismatches tie exactly
+        pts = rng.uniform(-0.45, 0.45, (n_pts, 2)) @ np.array([1, 1j])
+        img = rng.integers(0, 2, (n_pts, 4)).astype(float)
+        pairs = rng.integers(0, n_pts, (n_pairs, 2))
+        return pts, img, pairs, 0.5, 0.4
+
+    @pytest.mark.parametrize("n_pairs", [40, 300])
+    def test_ties_and_shuffled_order(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        pts, img, pairs, radius, cell = self._synthetic(rng, n_pairs)
+        assert _tied_buckets(pts, img, pairs, radius, cell) > 0
+        for _ in range(5):
+            shuffled = pairs[rng.permutation(n_pairs)]
+            args = (pts, img, shuffled, radius, cell)
+            assert np.array_equal(intersect._thin_seeds(*args),
+                                  _thin_seeds_lexsort(*args))
+
+    def test_single_bucket(self):
+        # points 0, 1 share the cell at -0.4 - 0.4i and points 2, 3 the one
+        # at 0.4 + 0.4i (side 0.2), so every pair is in one bucket; pairs 3
+        # and 5 tie for the least mismatch, 0, and pair 3 comes first
+        pts = np.array([-0.4 - 0.4j, -0.39 - 0.4j, 0.4 + 0.4j, 0.41 + 0.4j])
+        img = np.array([[0, 0, 0, 0], [1, 0, 0, 0],
+                        [2, 0, 0, 0], [0, 0, 0, 0]], float)
+        pairs = np.array([[0, 2], [1, 2], [1, 3], [0, 3], [3, 1], [3, 0],
+                          [2, 0]])
+        got = intersect._thin_seeds(pts, img, pairs, 0.5, 0.2)
+        assert np.array_equal(got, [[0, 3]])
+        assert np.array_equal(got, _thin_seeds_lexsort(pts, img, pairs,
+                                                        0.5, 0.2))
+
+    def test_no_pairs(self):
+        pts = np.array([0.1j, 0.3 + 0j])
+        empty = np.zeros((0, 2), np.int64)
+        got = intersect._thin_seeds(pts, np.zeros((2, 4)), empty, 0.5, 0.1)
+        assert got.shape == (0, 2)
+
+
+_coord = st.floats(-0.5, 0.5, allow_nan=False)
+_jitter = st.floats(-1e-8, 1e-8, allow_nan=False)
+
+
+@st.composite
+def _pair_clusters(draw):
+    """Converged-looking pairs: jittered copies of a few centre pairs,
+    each copy in either order."""
+    centres = draw(st.lists(st.tuples(_coord, _coord, _coord, _coord),
+                            min_size=1, max_size=4))
+    z1, z2 = [], []
+    for ar, ai, br, bi in centres:
+        for _ in range(draw(st.integers(1, 5))):
+            a = complex(ar + draw(_jitter), ai + draw(_jitter))
+            b = complex(br + draw(_jitter), bi + draw(_jitter))
+            if draw(st.booleans()):
+                a, b = b, a
+            z1.append(a)
+            z2.append(b)
+    resid = draw(st.lists(st.floats(0, 1e-12), min_size=len(z1),
+                          max_size=len(z1)))
+    return np.array(z1), np.array(z2), np.array(resid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_clusters())
+def test_merge_pairs_invariant_under_swap(clusters):
+    z1, z2, resid = clusters
+    assert _merge_pairs(z2, z1, resid, 1e-6) == _merge_pairs(z1, z2, resid, 1e-6)
+
+
+def _merged_from_seeds(w, z1, z2):
+    """Newton and the merge, as find_double_points runs them at radius 0.5."""
+    a, b, resid, ok = _kernels.newton_double_points(z1, z2, w, NEWTON_TOL, 50)
+    keep = (ok & (np.abs(a) <= 0.5) & (np.abs(b) <= 0.5)
+            & (np.abs(a - b) >= intersect._PAIR_SEP_TOL))
+    return _merge_pairs(a[keep], b[keep], resid[keep], intersect._DEDUP_TOL)
+
+
+@settings(max_examples=20, deadline=None)
+@given(member=st.sampled_from(["cusp_member", "torus_member"]),
+       pick=st.none() | st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                 max_size=64))
+@example(member="cusp_member", pick=None)
+@example(member="torus_member", pick=None)
+def test_newton_double_points_invariant_under_swap(search_seeds, member, pick):
+    # pick=None seeds Newton with every pair the search hands over
+    w, z1, z2 = search_seeds[member]
+    if pick is not None:
+        sel = np.array(pick) % z1.size
+        z1, z2 = z1[sel], z2[sel]
+    fwd = _merged_from_seeds(w, z1, z2)
+    rev = _merged_from_seeds(w, z2, z1)
+    assert len(fwd) == len(rev)
+    for a, b, _ in fwd:
+        # a residual below NEWTON_TOL places a preimage pair only to within
+        # about NEWTON_TOL / sigma_min of the 4x4 Jacobian (2e-9 on the
+        # torus member, whose Jacobian is nearly singular), so the swapped
+        # run must land within twice that; canonical order can flip for a
+        # pair of nearly equal real parts (the torus member's +-0.1i), so
+        # the double points match as unordered pairs
+        fx1, fy1 = bk.jacobian(w, a)
+        fx2, fy2 = bk.jacobian(w, b)
+        sigma = np.linalg.svd(np.stack([fx1, fy1, -fx2, -fy2], axis=-1),
+                              compute_uv=False).min()
+        dp = DoublePoint(a, b, np.zeros(4), 0.0, 0.0)
+        assert min(pair_dist(dp, c, d) for c, d, _ in rev) \
+            <= 2.0 * NEWTON_TOL / sigma
+
+
+def test_search_funnel_logged(cusp_member, caplog):
+    with caplog.at_level(logging.DEBUG, logger=intersect.__name__):
+        dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
+    (rec,) = [r for r in caplog.records if r.name == intersect.__name__]
+    msg = rec.getMessage()
+    for stage in ("proximity pairs", "past the separation floor", "seeds",
+                  "converged", "double points"):
+        assert stage in msg
+    n_prox, n_sep, n_seeds, n_conv, n_dps = rec.args
+    assert n_prox > n_sep > n_seeds >= n_conv > n_dps == len(dps) == 1
 
 
 class TestTransversality:

@@ -107,3 +107,93 @@ class TestNewtonKernel:
         assert not ok[0]
         assert a[0] == z1[0] and b[0] == z2[0]
         assert res[0] == pytest.approx(np.hypot(0.1 ** 2, 0.1 ** 3), rel=1e-12)
+
+
+def _newton_reference(z1, z2, w, tol, max_iter):
+    """The kernel that evaluated F(z1) - F(z2) again at the start of every
+    iteration, kept as the reference.  It looks the map up on _kernels at
+    each call, so a counter patched in there counts its calls too."""
+    evaluate_F, jacobian = _kernels.evaluate_F, _kernels.jacobian
+    z1 = np.array(z1, np.complex128)
+    z2 = np.array(z2, np.complex128)
+    n = z1.size
+    ok = np.zeros(n, bool)
+    alive = np.ones(n, bool)
+    resid = np.linalg.norm(evaluate_F(w, z1) - evaluate_F(w, z2), axis=1)
+    for _ in range(max_iter):
+        idx = np.nonzero(alive & ~ok)[0]
+        if idx.size == 0:
+            break
+        a, b = z1[idx], z2[idx]
+        r = evaluate_F(w, a) - evaluate_F(w, b)
+        fx1, fy1 = jacobian(w, a)
+        fx2, fy2 = jacobian(w, b)
+        J = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)
+        good = np.abs(np.linalg.det(J)) > 1e-300
+        alive[idx[~good]] = False
+        idx = idx[good]
+        if idx.size == 0:
+            continue
+        delta = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
+        base1, base2 = z1[idx], z2[idx]
+        cur = resid[idx]
+        step = np.ones(idx.size)
+        for _half in range(9):
+            n1 = base1 + step * (delta[:, 0] + 1j * delta[:, 1])
+            n2 = base2 + step * (delta[:, 2] + 1j * delta[:, 3])
+            new = np.linalg.norm(evaluate_F(w, n1) - evaluate_F(w, n2), axis=1)
+            worse = new > cur
+            if not worse.any():
+                break
+            step[worse] *= 0.5
+        z1[idx], z2[idx], resid[idx] = n1, n2, new
+        ok[idx] = new <= tol
+    return z1, z2, resid, ok
+
+
+class TestNewtonReusesResidual:
+    """The kernel against the one that evaluated F twice more per step."""
+
+    @staticmethod
+    def _counted(monkeypatch, kernel, *args):
+        calls = {"F": 0, "J": 0}
+        evaluate_F, jacobian = _kernels.evaluate_F, _kernels.jacobian
+
+        def counted_F(*a):
+            calls["F"] += 1
+            return evaluate_F(*a)
+
+        def counted_J(*a):
+            calls["J"] += 1
+            return jacobian(*a)
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "evaluate_F", counted_F)
+            m.setattr(_kernels, "jacobian", counted_J)
+            return kernel(*args), calls
+
+    def _check(self, monkeypatch, z1, z2, w):
+        got, new = self._counted(monkeypatch, _kernels.newton_double_points,
+                                 z1, z2, w, 1e-12, 50)
+        ref, old = self._counted(monkeypatch, _newton_reference,
+                                 z1, z2, w, 1e-12, 50)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        # each iteration that runs takes two jacobian calls in both kernels
+        # and two evaluate_F calls fewer in the new one
+        assert new["J"] == old["J"] > 0
+        assert old["F"] - new["F"] == new["J"]
+        return got
+
+    @pytest.mark.parametrize("member", ["cusp_member", "torus_member"])
+    def test_search_seeds_bit_identical(self, member, search_seeds,
+                                        monkeypatch):
+        w, z1, z2 = search_seeds[member]
+        ok = self._check(monkeypatch, z1, z2, w)[3]
+        assert ok.sum() > 1000
+
+    def test_branch_point_seed_bit_identical(self, cusp, monkeypatch):
+        z1 = np.array([0j])
+        z2 = np.array([0.1 + 0j])
+        a, b, res, ok = self._check(monkeypatch, z1, z2, cusp)
+        assert not ok[0] and a[0] == z1[0] and b[0] == z2[0]
