@@ -3,7 +3,6 @@ branch-point knots and their braid invariants."""
 
 from .cpoly import CPoly
 from .weierstrass import (
-    GaussValue,
     WeierstrassData,
     branch_points,
     evaluate_F,

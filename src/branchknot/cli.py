@@ -124,9 +124,7 @@ def cmd_analyze(args) -> int:
         "conformality_residual": w.conformality_residual(),
     }
     def fmt(g):
-        if g is None:
-            return "undefined (degenerate chart)"
-        return "inf" if g.at_infinity else [g.value.real, g.value.imag]
+        return "undefined (degenerate chart)" if g is None else g.tolist()
 
     gauss = []
     for z in (0.3, 0.3j, -0.3, 0.2 + 0.2j):

@@ -297,22 +297,23 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
 def gauss_invariance_residual(fm: FamilyMember, sample_points) -> float:
     """Largest chordal gap between base and deformed tangent-sphere maps.
 
-    Orientation + compares the first sphere coordinate, orientation - the
-    second.  Reduced members compare the first coordinate for either
-    orientation: it is the only chart their zero components leave defined,
-    and the one the reduced recipe preserves.
+    The gap is the Euclidean distance of the two points on the unit
+    sphere, taken over all sample points at once.  Orientation + compares
+    the first sphere coordinate, orientation - the second: the chart of
+    the slot that carries PB.  Reduced members compare the first
+    coordinate for either orientation: it is the only chart their zero
+    components leave defined, and the one the reduced recipe preserves.
+    0.0 when neither map has the chart, inf when only one has it.
     """
-    idx = 0 if (fm.reduced or fm.params.orientation > 0) else 1
-    worst = 0.0
-    for z in sample_points:
-        gb = gauss_maps(fm.base, z)[idx]
-        gd = gauss_maps(fm.deformed, z)[idx]
-        if gb is None and gd is None:
-            continue
-        if gb is None or gd is None:
-            return math.inf
-        worst = max(worst, gb.chordal_distance(gd))
-    return worst
+    idx = _pb_slot(fm.base, fm.params.orientation) - 2
+    z = np.asarray(sample_points)
+    gb = gauss_maps(fm.base, z)[idx]
+    gd = gauss_maps(fm.deformed, z)[idx]
+    if gb is None and gd is None:
+        return 0.0
+    if gb is None or gd is None:
+        return math.inf
+    return float(np.linalg.norm(gb - gd, axis=-1).max(initial=0.0))
 
 
 def _delta(poly: CPoly, z1: complex, z2: complex) -> complex:

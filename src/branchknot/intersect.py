@@ -203,17 +203,17 @@ def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,
 def is_transverse(dp: DoublePoint, w: WeierstrassData) -> bool:
     """True iff the two tangent planes at the double point span R^4.
 
-    The raw 4x4 determinant is normalized by the product of the column
-    norms, making the test invariant under global rescaling of the map.
+    dp.transversality_det, the raw 4x4 determinant of the frames of w
+    at the pair, is normalized by the product of the column norms, making
+    the test invariant under global rescaling of the map.
     """
     fx1, fy1 = jacobian(w, dp.z1)
     fx2, fy2 = jacobian(w, dp.z2)
-    cols = np.stack([fx1, fy1, fx2, fy2], axis=-1)
-    norms = np.linalg.norm(cols, axis=0)
+    norms = np.linalg.norm(np.stack([fx1, fy1, fx2, fy2], axis=-1), axis=0)
     denom = float(np.prod(norms))
     if denom == 0.0:
         return False
-    return abs(float(np.linalg.det(cols))) > 1e-6 * denom
+    return abs(dp.transversality_det) > 1e-6 * denom
 
 
 def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,

@@ -8,10 +8,10 @@ f1..f4 (given through their derivatives f1'..f4') via
 subject to f1'*f2' + f3'*f4' = 0.  This module validates such data,
 evaluates the map and its differential, locates branch points, and
 computes the plane geometry: tangent planes as the six Plucker
-coordinates of dF/dx ^ dF/dy, the two sphere-valued tangent-plane maps,
-and the positivity pairings with the self-dual and anti-self-dual parts
-of the reference plane e12, H0 = (e12 + e34)/sqrt2 and
-K0 = (e12 - e34)/sqrt2.
+coordinates of dF/dx ^ dF/dy, the two sphere-valued tangent-plane maps
+as points of the unit sphere in R^3, and the positivity pairings with
+the self-dual and anti-self-dual parts of the reference plane e12,
+H0 = (e12 + e34)/sqrt2 and K0 = (e12 - e34)/sqrt2.
 
 Input data is assumed pre-normalized: branch point at z = 0, image of 0
 at the origin, tangent cone the (x1,x2)-plane.  No automatic rotation
@@ -36,7 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "GaussValue",
     "WeierstrassData",
     "load",
     "evaluate_F",
@@ -46,40 +45,6 @@ __all__ = [
     "symplectic_positivity",
     "gauss_maps",
 ]
-
-# ---------------------------------------------------------------------------
-# Sphere-valued tangent plane coordinates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussValue:
-    """Point on the Riemann sphere: finite complex value or infinity."""
-
-    value: complex = 0j
-    at_infinity: bool = False
-
-    @classmethod
-    def from_quotient(cls, num: complex, den: complex,
-                      scale: float = 1.0) -> "GaussValue":
-        floor = 1e-13 * max(1.0, scale)
-        if abs(num) <= floor and abs(den) <= floor:
-            raise IndeterminateGauss(
-                f"0/0 quotient (|num|={abs(num):.2e}, |den|={abs(den):.2e})")
-        if abs(den) <= 1e-15 * abs(num):
-            return cls(0j, True)
-        return cls(num / den, False)
-
-    def chordal_distance(self, other: "GaussValue") -> float:
-        """Distance in the round metric on the sphere of diameter 2."""
-        if self.at_infinity and other.at_infinity:
-            return 0.0
-        if self.at_infinity:
-            return 2.0 / math.sqrt(1.0 + abs(other.value) ** 2)
-        if other.at_infinity:
-            return 2.0 / math.sqrt(1.0 + abs(self.value) ** 2)
-        a, b = self.value, other.value
-        return 2.0 * abs(a - b) / math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
-
 
 # ---------------------------------------------------------------------------
 # Validated map data
@@ -250,28 +215,51 @@ def symplectic_positivity(w: WeierstrassData, z, orientation: int):
     return (P[..., 0] + sign * P[..., 5]) / math.sqrt(2.0)
 
 
-def gauss_maps(w: WeierstrassData, z: complex, cross_check_tol: float = 1e-10):
-    """Both sphere-valued tangent-plane coordinates at z, as GaussValues.
+def _sphere_point(num, den, scale: float) -> np.ndarray:
+    """Inverse stereographic image of num/den on the unit sphere in R^3.
 
-    Uses the closed quotients f3'/f2' and -f4'/f2'.  A chart whose
-    numerator and denominator polynomials are both identically zero (as
-    happens for the second coordinate of a complex-curve input) carries no
-    information; that slot is returned as None.  Pointwise 0/0 on nonzero
-    polynomials means z is a branch point and raises IndeterminateGauss.
+    (2 Re(num conj den), 2 Im(num conj den), |num|^2 - |den|^2) divided by
+    |num|^2 + |den|^2, so no quotient is taken: den = 0 is the pole
+    (0, 0, 1), and the chordal distance of two values is the Euclidean
+    distance of their points.  Vectorized; the last axis holds (X, Y, Z).
+    Raises IndeterminateGauss where |num| and |den| are both at most
+    1e-13 * max(1, scale).
+    """
+    an, ad = np.abs(num), np.abs(den)
+    floor = 1e-13 * max(1.0, scale)
+    zero = (an <= floor) & (ad <= floor)
+    if zero.any():
+        raise IndeterminateGauss(f"0/0 quotient (|num|={an[zero][0]:.2e}, "
+                                 f"|den|={ad[zero][0]:.2e})")
+    cross = 2.0 * num * np.conj(den)
+    nn, dd = an ** 2, ad ** 2
+    return (np.stack([np.real(cross), np.imag(cross), nn - dd], axis=-1)
+            / (nn + dd)[..., None])
+
+
+def gauss_maps(w: WeierstrassData, z, cross_check_tol: float = 1e-10):
+    """Both sphere-valued tangent-plane coordinates at z, as unit 3-vectors.
+
+    Uses the closed quotients f3'/f2' and -f4'/f2', each returned as its
+    point on the unit sphere (see _sphere_point; the value g is
+    (X + iY) / (1 - Z)).  Vectorized: each coordinate has shape
+    np.shape(z) + (3,).  A chart whose numerator and denominator
+    polynomials are both identically zero (as happens for the second
+    coordinate of a complex-curve input) carries no information; that
+    slot is returned as None.  Pointwise 0/0 on nonzero polynomials means
+    z is a branch point and raises IndeterminateGauss.
 
     The first coordinate is cross-validated against the quotient of the
     complexified differentials (phi3 + i phi4) / (phi1 - i phi2) wherever
     the latter is well-conditioned; GaussCrossCheckFailure is raised when
-    the two differ by more than cross_check_tol.
+    the two points are farther apart than cross_check_tol.
     """
     scale = w.coeff_scale()
 
-    def chart(num_poly: CPoly, den_poly: CPoly, sign: complex):
+    def chart(num_poly: CPoly, den_poly: CPoly, sign: float):
         if num_poly.is_zero and den_poly.is_zero:
             return None
-        num = sign * num_poly(z) if not num_poly.is_zero else 0j
-        den = den_poly(z) if not den_poly.is_zero else 0j
-        return GaussValue.from_quotient(num, den, scale)
+        return _sphere_point(sign * num_poly(z), den_poly(z), scale)
 
     gp = chart(w.fprime[2], w.fprime[1], 1.0)
     gm = chart(w.fprime[3], w.fprime[1], -1.0)
@@ -280,12 +268,14 @@ def gauss_maps(w: WeierstrassData, z: complex, cross_check_tol: float = 1e-10):
     if gp is not None:
         fx, fy = jacobian(w, z)
         phi = fx - 1j * fy
-        num = phi[2] + 1j * phi[3]
-        den = phi[0] - 1j * phi[1]
-        if max(abs(num), abs(den)) > 1e-10 * max(1.0, scale):
-            gp_phi = GaussValue.from_quotient(num, den, scale)
-            d = gp.chordal_distance(gp_phi)
-            if d > cross_check_tol:
-                raise GaussCrossCheckFailure(
-                    f"gauss map cross-check failed at z={z}: chordal distance {d:.3e}")
+        num = phi[..., 2] + 1j * phi[..., 3]
+        den = phi[..., 0] - 1j * phi[..., 1]
+        cond = np.maximum(np.abs(num), np.abs(den)) > 1e-10 * max(1.0, scale)
+        d = np.linalg.norm(gp[cond] - _sphere_point(num[cond], den[cond], scale),
+                           axis=-1)
+        bad = d > cross_check_tol
+        if bad.any():
+            raise GaussCrossCheckFailure(
+                f"gauss map cross-check failed at z={np.asarray(z)[cond][bad][0]}: "
+                f"chordal distance {d[bad].max():.3e}")
     return gp, gm

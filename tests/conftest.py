@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import branchknot as bk
-from branchknot import _kernels
+from branchknot import _kernels, deformation
+from branchknot.intersect import is_transverse
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +99,34 @@ def search_seeds(cusp_member, torus_member):
             with pytest.raises(_Captured):
                 bk.find_double_points(fm.deformed, 0.5, 48)
     return seeds
+
+
+@pytest.fixture(scope="session")
+def sampler_run():
+    """The members sample_generic accepts at t = 0.05 for four fixtures,
+    seeds 1-3 and both orientations, keyed (stem, seed, orientation), and
+    every (double point, deformed map) that it asked is_transverse about
+    on the way, rejected draws included."""
+    members, judged = {}, []
+
+    def record(dp, w):
+        judged.append((dp, w))
+        return is_transverse(dp, w)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deformation, "is_transverse", record)
+        for stem in ("cusp", "torus5", "four_function", "mixed_strong"):
+            w = bk.WeierstrassData.from_json_dict(
+                json.loads((DATA / f"{stem}.json").read_text()))
+            for seed in (1, 2, 3):
+                for orientation in (+1, -1):
+                    p = bk.sample_generic(w, 0.05, seed,
+                                          orientation=orientation)
+                    members[stem, seed, orientation] = \
+                        bk.build_family_member(w, p)
+    return members, judged
+
+
+@pytest.fixture(scope="session")
+def sampled_members(sampler_run):
+    return sampler_run[0]

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchknot import cli, deformation, intersect, knot
+from branchknot.cpoly import CPoly
 from branchknot.weierstrass import WeierstrassData
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -81,6 +83,11 @@ class TestAnalyze:
         assert report["orders"] == [1, None, 2, None]
         assert report["branch_points"] == [[0.0, 0.0]]
         assert report["symplectic_min_plus"] > 0
+        # f2' = 0 puts the first Gauss map at the pole; f2' = f4' = 0
+        # leaves the second chart undefined
+        for sample in report["gauss_samples"]:
+            assert sample["gamma_plus"] == [0.0, 0.0, 1.0]
+            assert sample["gamma_minus"] == "undefined (degenerate chart)"
 
     def test_flat(self, capsys):
         rc = run("analyze", "--input", str(DATA / "flat_plane.json"), "--json")
@@ -152,6 +159,71 @@ class TestAnalyze:
         rc = run("analyze", "--input", str(DATA / "cusp.json"))
         assert rc == 6
         assert "GaussCrossCheckFailure" in capsys.readouterr().err
+
+
+# analyze's Gauss sample points
+GAUSS_SAMPLES = (0.3, 0.3j, -0.3, 0.2 + 0.2j)
+
+_coeff = st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0,
+                            allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def analyze_inputs(draw):
+    """A document for analyze and its second branch point (or None).
+
+    Either a complex curve z -> (a z^p, b z^q), p < q, or ex4-type data
+    f' = (a z^n1, b z^n2, c z^n3, d z^n4) with n1 below n3 and n4,
+    n2 = n3 + n4 - n1 and b = -cd/a, which is off by 0.1 (not conformal)
+    when drawn so.  Both are in branch normal form.  Every component may
+    take a factor (z - s) that puts a second branch point on a Gauss
+    sample point s.
+    """
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 3))
+        q = draw(st.integers(p + 1, 5))
+        comps = [CPoly.monomial(p - 1) * (p * draw(_coeff)), CPoly.zero(),
+                 CPoly.monomial(q - 1) * (q * draw(_coeff)), CPoly.zero()]
+    else:
+        n1 = draw(st.integers(0, 2))
+        n3, n4 = draw(st.integers(n1 + 1, 3)), draw(st.integers(n1 + 1, 3))
+        a, c, d = draw(_coeff), draw(_coeff), draw(_coeff)
+        b = -c * d / a + (0.0 if draw(st.booleans()) else 0.1)
+        comps = [CPoly.monomial(n1) * a, CPoly.monomial(n3 + n4 - n1) * b,
+                 CPoly.monomial(n3) * c, CPoly.monomial(n4) * d]
+    s = draw(st.sampled_from((None,) + GAUSS_SAMPLES))
+    if s is not None:
+        comps = [f * CPoly([-s, 1]) for f in comps]
+    return {"fprime": [f.to_pairs() for f in comps]}, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc_s=analyze_inputs())
+def test_analyze_exit_code_is_documented(tmp_path_factory, doc_s):
+    doc, s = doc_s
+    path = tmp_path_factory.mktemp("analyze") / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # an exception here escaped main
+        rc = cli.main(["analyze", "--input", str(path), "--json"])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1
+        return
+    report = json.loads(out.getvalue())
+    assert [complex(*g["z"]) for g in report["gauss_samples"]] == list(GAUSS_SAMPLES)
+    for sample in report["gauss_samples"]:
+        values = (sample["gamma_plus"], sample["gamma_minus"])
+        for g in values:
+            if isinstance(g, str):
+                assert g.startswith("undefined (")
+            else:
+                assert len(g) == 3 and abs(math.hypot(*g) - 1.0) < 1e-12
+        if complex(*sample["z"]) == s:
+            assert values == ("undefined (branch point)",) * 2
+        else:
+            assert "undefined (branch point)" not in values
 
 
 class TestDeform:

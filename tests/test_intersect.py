@@ -1,7 +1,5 @@
-import json
 import logging
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from branchknot.intersect import DoublePoint, _merge_pairs
 
 CUSP_T = 0.05
 NEWTON_TOL = 1e-12
-DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def pair_dist(dp, a, b):
@@ -106,11 +103,9 @@ class TestSeedThinning:
     }
 
     @pytest.mark.parametrize("stem,orientation,seed", sorted(SAMPLED))
-    def test_sampled_members_stable(self, stem, orientation, seed):
-        w = bk.WeierstrassData.from_json_dict(
-            json.loads((DATA / f"{stem}.json").read_text()))
-        p = bk.sample_generic(w, 0.05, seed, orientation=orientation)
-        deformed = bk.build_family_member(w, p).deformed
+    def test_sampled_members_stable(self, stem, orientation, seed,
+                                    sampled_members):
+        deformed = sampled_members[stem, seed, orientation].deformed
         for n in (32, 48):
             dps = bk.find_double_points(deformed, 0.5, n)
             assert len(dps) == self.SAMPLED[stem, orientation, seed]
@@ -348,7 +343,27 @@ def test_search_funnel_logged(cusp_member, caplog):
     assert n_prox > n_sep > n_seeds >= n_conv > n_dps == len(dps) == 1
 
 
+def _is_transverse_recomputed(dp, w) -> bool:
+    """The verdict from a freshly built frame determinant, kept as the
+    reference for the one that reads dp.transversality_det."""
+    fx1, fy1 = bk.jacobian(w, dp.z1)
+    fx2, fy2 = bk.jacobian(w, dp.z2)
+    cols = np.stack([fx1, fy1, fx2, fy2], axis=-1)
+    denom = float(np.prod(np.linalg.norm(cols, axis=0)))
+    if denom == 0.0:
+        return False
+    return abs(float(np.linalg.det(cols))) > 1e-6 * denom
+
+
 class TestTransversality:
+    def test_stored_determinant_gives_recomputed_verdict(self, sampler_run):
+        # every double point sample_generic judged while drawing the
+        # sampled members
+        _, judged = sampler_run
+        assert judged
+        for dp, w in judged:
+            assert bk.is_transverse(dp, w) == _is_transverse_recomputed(dp, w)
+
     def test_perturbed_cusp_transverse(self, cusp_member):
         dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
         assert all(bk.is_transverse(dp, cusp_member.deformed) for dp in dps)
@@ -362,11 +377,17 @@ class TestTransversality:
 
     def test_scale_invariance(self, cusp, cusp_member):
         dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
-        # globally rescaled map: same normalized verdict
+        # globally rescaled map: its double points carry the rescaled
+        # determinant, and get the same normalized verdict
         scaled = bk.load([10.0 * p for p in cusp_member.deformed.fprime])
-        for dp in dps:
+        dps_scaled = bk.find_double_points(scaled, 0.5, 48)
+        assert len(dps_scaled) == len(dps)
+        for dp, dp_scaled in zip(dps, dps_scaled):
+            assert abs(dp_scaled.transversality_det
+                       - 1e4 * dp.transversality_det) \
+                <= 1e-6 * abs(dp_scaled.transversality_det)
             assert bk.is_transverse(dp, cusp_member.deformed) == \
-                bk.is_transverse(dp, scaled)
+                bk.is_transverse(dp_scaled, scaled)
 
 
 class TestBruteForce:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import branchknot as bk
 from branchknot.cpoly import CPoly
@@ -13,7 +13,7 @@ from branchknot.errors import (
     IndeterminateGauss,
     OrderMismatch,
 )
-from branchknot.weierstrass import GaussValue
+from branchknot.weierstrass import _sphere_point
 
 
 class TestLoad:
@@ -214,16 +214,98 @@ class TestSymplectic:
         assert_calibrated(w)
 
 
+def _ref_quotient(num: complex, den: complex):
+    """The scalar Gauss value the sphere points replaced: num/den, or None
+    for the point at infinity."""
+    if abs(den) <= 1e-15 * abs(num):
+        return None
+    return num / den
+
+
+def _ref_chordal_distance(a, b) -> float:
+    """The scalar route's distance on the sphere of diameter 2."""
+    if a is None and b is None:
+        return 0.0
+    if a is None:
+        return 2.0 / math.sqrt(1.0 + abs(b) ** 2)
+    if b is None:
+        return 2.0 / math.sqrt(1.0 + abs(a) ** 2)
+    return 2.0 * abs(a - b) / math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+def _ref_gauss_value(w, z: complex, idx: int):
+    """One chart of the scalar route at one point (None for infinity)."""
+    num_poly, sign = ((w.fprime[2], 1.0), (w.fprime[3], -1.0))[idx]
+    return _ref_quotient(sign * num_poly(z), w.fprime[1](z))
+
+
+# 0, or a modulus from 1e-8 to 1e8 at any argument
+_gauss_values = st.one_of(
+    st.just(0j),
+    st.builds(lambda m, a: 10.0 ** m * complex(math.cos(a), math.sin(a)),
+              st.floats(-8, 8), st.floats(0, 2 * math.pi)))
+
+
 class TestGaussMaps:
     def test_complex_curve_chart(self, cusp):
         gp, gm = bk.gauss_maps(cusp, 0.3)
-        assert gp is not None and gp.at_infinity
+        # f2' = 0: the pole
+        assert gp.tolist() == [0.0, 0.0, 1.0]
         assert gm is None
 
     def test_four_function_values(self, ex4):
+        # g+ = -2 and g- = 2 at z = 0.5
         gp, gm = bk.gauss_maps(ex4, 0.5)
-        assert abs(gp.value - (-2.0)) < 1e-12
-        assert abs(gm.value - 2.0) < 1e-12
+        assert np.abs(gp - [-0.8, 0.0, 0.6]).max() < 1e-12
+        assert np.abs(gm - [0.8, 0.0, 0.6]).max() < 1e-12
+
+    def test_chordal_distance(self):
+        pole = _sphere_point(1.0, 0.0, 1.0)
+        assert pole.tolist() == [0.0, 0.0, 1.0]
+        assert abs(np.linalg.norm(pole - _sphere_point(0.0, 1.0, 1.0)) - 2.0) < 1e-15
+        a, b = _sphere_point(1.0, 1.0, 1.0), _sphere_point(1.0 + 1e-8j, 1.0, 1.0)
+        assert np.linalg.norm(a - b) < 1e-7
+        with pytest.raises(IndeterminateGauss):
+            _sphere_point([1.0, 1e-14], [0.0, 0.0], 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gauss_values, _gauss_values, _gauss_values, _gauss_values)
+    @example(1.0 + 0j, 0j, 0j, 1.0 + 0j)   # infinity against 0
+    @example(1e8 + 0j, 1e-8 + 0j, 1.0 + 0j, 0j)   # inside the old flag band
+    def test_distance_matches_scalar_route(self, n1, d1, n2, d2):
+        assume(n1 or d1)
+        assume(n2 or d2)
+        p, q = _sphere_point(n1, d1, 1.0), _sphere_point(n2, d2, 1.0)
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-15
+        ref = _ref_chordal_distance(_ref_quotient(n1, d1), _ref_quotient(n2, d2))
+        assert abs(np.linalg.norm(p - q) - ref) < 4e-15
+
+    @pytest.mark.parametrize("which", ["ex4", "minus_member", "cusp"])
+    def test_grid_equals_pointwise(self, which, request, sampled_members):
+        w = (sampled_members["four_function", 1, -1].deformed
+             if which == "minus_member" else request.getfixturevalue(which))
+        zz = (np.linspace(0.05, 0.9, 10)[:, None]
+              * np.exp(2j * np.pi * np.arange(16) / 16)[None, :])
+        grid = bk.gauss_maps(w, zz)
+        for g in grid:
+            assert g is None or g.shape == (10, 16, 3)
+        for i, j in np.ndindex(zz.shape):
+            for g, point in zip(grid, bk.gauss_maps(w, complex(zz[i, j]))):
+                assert (g is None) == (point is None)
+                if g is not None:
+                    assert np.abs(g[i, j] - point).max() <= 1e-15
+
+    def test_invariance_residual_matches_scalar_route(self, sampled_members):
+        ring = 0.3 * np.exp(2j * np.pi * np.arange(100) / 100)
+        for fm in sampled_members.values():
+            idx = 0 if (fm.reduced or fm.params.orientation > 0) else 1
+            ref = max(_ref_chordal_distance(_ref_gauss_value(fm.base, z, idx),
+                                            _ref_gauss_value(fm.deformed, z, idx))
+                      for z in ring)
+            got = bk.gauss_invariance_residual(fm, ring)
+            assert abs(got - ref) <= 1e-15
+            if fm.reduced:
+                assert got == 0.0
 
     def test_quotient_matches_differential_route(self, ex4):
         # gauss_maps raises internally when the two routes disagree
@@ -240,9 +322,3 @@ class TestGaussMaps:
         with pytest.raises(IndeterminateGauss):
             bk.gauss_maps(ex4, 0.0)
 
-    def test_chordal_distance(self):
-        inf = GaussValue(0, True)
-        assert inf.chordal_distance(GaussValue(0, True)) == 0.0
-        assert abs(inf.chordal_distance(GaussValue(0j)) - 2.0) < 1e-15
-        a, b = GaussValue(1.0 + 0j), GaussValue(1.0 + 1e-8j)
-        assert a.chordal_distance(b) < 1e-7
