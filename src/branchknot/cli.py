@@ -8,14 +8,17 @@ Subcommands mirror the pipeline stages:
   knot           trace the sphere slice, emit CSV polyline + braid JSON
   verify         run the full double-point / crossing-number identity check
 
+The numerical tolerances are constants of their modules; the input's
+conf_tol (default 1e-10) is the one a user sets.
+
 Exit codes: 0 success, 2 input validation failure (a file that cannot
 be read or written, a document that is not a JSON object or lacks a key,
 a tangent plane or Gauss map asked for at a branch point, a search
-region outside 0 < radius <= 0.9 or with grid-n < 5, and a tolerance or
-slice radius eta that is not finite and positive included), 3 sampling
-exhausted (a scale t that is not finite and positive included),
-4 identity violation, 5 slicing/braiding failure, 6 the two Gauss-map
-routes disagree.
+region outside 0 < radius <= 0.9 or with grid-n < 5, and an input
+conf_tol or slice radius eta that is not finite and positive included),
+3 sampling exhausted (a scale t that is not finite and positive
+included), 4 identity violation, 5 slicing/braiding failure, 6 the two
+Gauss-map routes disagree.
 """
 
 from __future__ import annotations
@@ -94,12 +97,7 @@ def _read_document(path: str, build, key: str):
 
 
 def _load_input(args) -> WeierstrassData:
-    def build(data):
-        if "conf_tol" in args.tol:
-            data["conf_tol"] = args.tol["conf_tol"]
-        return WeierstrassData.from_json_dict(data)
-
-    return _read_document(args.input, build, "fprime")
+    return _read_document(args.input, WeierstrassData.from_json_dict, "fprime")
 
 
 def _load_params(path: str) -> deformation.PerturbParams:
@@ -177,8 +175,7 @@ def cmd_double_points(args) -> int:
         fm = deformation.build_family_member(w, _load_params(args.params))
         w = fm.deformed
     dps = intersect.find_double_points(w, radius=args.radius,
-                                       grid_n=args.grid_n,
-                                       newton_tol=args.tol.get("newton_tol", 1e-12))
+                                       grid_n=args.grid_n)
     payload = [dp.to_json_dict() for dp in dps]
     out = Path(args.out_dir) / "double_points.json" if args.out_dir else None
     if out:
@@ -253,32 +250,6 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# the tolerance names each subcommand reads
-_TOL_NAMES = {
-    "analyze": ("conf_tol",),
-    "deform": ("conf_tol",),
-    "double-points": ("conf_tol", "newton_tol"),
-    "knot": ("conf_tol",),
-    "verify": ("conf_tol",),
-}
-
-
-def _parse_tol(items, command: str) -> dict:
-    names = _TOL_NAMES[command]
-    out = {}
-    for item in items or []:
-        name, _, value = item.partition("=")
-        key = name.replace("-", "_")
-        if key not in names:
-            raise ValueError(f"unknown tolerance {name!r} for {command}; "
-                             f"accepted: {', '.join(names)}")
-        v = float(value)
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"tolerance {name} must be finite and positive")
-        out[key] = v
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="branchknot", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -286,16 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, summary, eta=False, sampling=False, params=False,
                 region=False):
-        # no prefix matching: "--t" must not be read as "--tol" where the
-        # subcommand has no "--t"
+        # no prefix matching: an abbreviation would stop working, or change
+        # meaning, when a later option shares its prefix
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--input", required=True, help="map data JSON file")
         p.add_argument("--out-dir", default=None, help="directory for output files")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="tolerance override, NAME one of "
-                            f"{', '.join(_TOL_NAMES[name])} (repeatable)")
         if eta:
             p.add_argument("--eta", type=float, default=None,
                            help="slice radius (auto-scan when omitted)")
@@ -328,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol = _parse_tol(args.tol, args.command)
         if args.command == "deform" and args.t is None:
             raise SamplingExhausted("deform requires --t > 0")
         handler = {

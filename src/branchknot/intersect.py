@@ -31,9 +31,11 @@ __all__ = ["DoublePoint", "find_double_points", "is_transverse",
 
 log = logging.getLogger(__name__)
 
-# find_double_points: a converged pair closer than _PAIR_SEP_TOL is on
-# the diagonal, and pairs within _DEDUP_TOL are one double point
+# find_double_points: Newton stops below a residual of _NEWTON_TOL, a
+# converged pair closer than _PAIR_SEP_TOL is on the diagonal, and pairs
+# within _DEDUP_TOL are one double point
 _SEED_SEP = 3.0
+_NEWTON_TOL = 1e-12
 _PAIR_SEP_TOL = 1e-5
 _DEDUP_TOL = 1e-6
 
@@ -76,8 +78,7 @@ def _frame_det(w: WeierstrassData, z1: complex, z2: complex) -> float:
 
 
 def find_double_points(w: WeierstrassData, radius: float = 0.5,
-                       grid_n: int = 48,
-                       newton_tol: float = 1e-12) -> list[DoublePoint]:
+                       grid_n: int = 48) -> list[DoublePoint]:
     """All double points of F with both preimages in |z| <= radius.
 
     Takes every grid pair whose images are closer than a coarse threshold
@@ -124,7 +125,7 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
 
     # at most 50 damped Newton steps per seed
     z1, z2, resid, ok = _kernels.newton_double_points(
-        pts[pairs[:, 0]], pts[pairs[:, 1]], w, newton_tol, 50)
+        pts[pairs[:, 0]], pts[pairs[:, 1]], w, _NEWTON_TOL, 50)
 
     keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
             & (np.abs(z1 - z2) >= _PAIR_SEP_TOL))
@@ -217,8 +218,7 @@ def is_transverse(dp: DoublePoint, w: WeierstrassData) -> bool:
 
 
 def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
-                              fine_n: int = 400,
-                              prox: float | None = None) -> int:
+                              fine_n: int = 400) -> int:
     """Independent double-point count by exhaustive grid proximity scan.
 
     Registers grid pairs whose images are closer than a proximity cutoff
@@ -227,9 +227,10 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     pair neighborhood (this discards the near-miss continua that any
     threshold alone would catch), and counts clusters of the survivors.
 
-    With prox=None the cutoff adapts to the local differential size:
-    pair (i, j) registers when |F_i - F_j| < 3 * spacing * min(J_i, J_j).
-    An explicit prox is applied as a flat cutoff instead.
+    The cutoff adapts to the local differential size: the scan registers
+    pairs closer than 3 * spacing times the 90th percentile of the
+    differential norm J, and keeps pair (i, j) when
+    |F_i - F_j| < 2.5 * spacing * min(J_i, J_j).
     """
     side = np.linspace(-radius, radius, fine_n)
     spacing = side[1] - side[0]
@@ -245,8 +246,7 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     jn = np.full(fine_n * fine_n, np.inf)
     jn[in_disk] = jn_disk
 
-    query_r = prox if prox is not None else \
-        3.0 * spacing * float(np.percentile(jn_disk, 90))
+    query_r = 3.0 * spacing * float(np.percentile(jn_disk, 90))
 
     tree = cKDTree(img[in_disk])
     pairs = tree.query_pairs(query_r, output_type="ndarray")
@@ -259,10 +259,8 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     keep = sep > 10.0 * spacing
     pairs = pairs[keep]
     mism = np.linalg.norm(img[pairs[:, 0]] - img[pairs[:, 1]], axis=1)
-    if prox is None:
-        local = 2.5 * spacing * np.minimum(jn[pairs[:, 0]], jn[pairs[:, 1]])
-        keep = mism < local
-        pairs, mism = pairs[keep], mism[keep]
+    keep = mism < 2.5 * spacing * np.minimum(jn[pairs[:, 0]], jn[pairs[:, 1]])
+    pairs, mism = pairs[keep], mism[keep]
     if pairs.size == 0:
         return 0
 

@@ -331,17 +331,17 @@ def _stereographic(x: np.ndarray, pole: np.ndarray, frame: np.ndarray) -> np.nda
     return (x @ frame) / denom[:, None]
 
 
-def linking_number_gauss(k: KnotCurve,
-                         pushoff_delta: float | None = None) -> float:
+def linking_number_gauss(k: KnotCurve) -> float:
     """Linking number of the slice with its diagram-framing pushoff.
 
-    The pushoff displaces every sample by delta (by default a quarter of
-    the least gap between sheets, measured here from the samples, not from
-    the braid) in one fixed direction of the (x3,x4)-plane and renormalizes
-    to the sphere.  The direction is one of _PUSHOFF_DIRECTIONS evenly
-    spaced ones: each is ranked by the least distance from its pushoff of
-    every _PUSHOFF_STRIDE-th sample to the slice, and the best ranked one
-    is taken.  Its clearance, the least distance from its full pushoff to
+    The pushoff displaces every sample by delta (a quarter of the least
+    gap between sheets, measured here from the samples, not from the
+    braid, or 0.05 where the sheets are not defined) in one fixed
+    direction of the (x3,x4)-plane and renormalizes to the sphere.  The
+    direction is one of _PUSHOFF_DIRECTIONS evenly spaced ones: each is
+    ranked by the least distance from its pushoff of every
+    _PUSHOFF_STRIDE-th sample to the slice, and the best ranked one is
+    taken.  Its clearance, the least distance from its full pushoff to
     the slice, must be at least 0.1 delta, or PushoffCollision is raised.
     Both curves are then projected stereographically from a pole far from
     both, and the Gauss sum is taken over the solid angles of segment
@@ -356,10 +356,8 @@ def linking_number_gauss(k: KnotCurve,
     """
     q = k.samples
 
-    if pushoff_delta is None:
-        gap = _min_strand_gap(k)
-        pushoff_delta = 0.05 if not math.isfinite(gap) else 0.25 * gap
-    delta = float(pushoff_delta)
+    gap = _min_strand_gap(k)
+    delta = 0.05 if not math.isfinite(gap) else 0.25 * gap
 
     def pushoff(x, disp):
         y = x + delta * disp
@@ -431,18 +429,22 @@ def contact_transversality_margin(k: KnotCurve, orientation: int) -> float:
 # eta selection and the verification pipeline
 # ---------------------------------------------------------------------------
 
-def select_eta(w: WeierstrassData, start: float = 0.1,
-               min_eta: float = 1e-5) -> KnotCurve:
+# select_eta halves eta from _ETA_START while it is at least _ETA_MIN
+_ETA_START = 0.1
+_ETA_MIN = 1e-5
+
+
+def select_eta(w: WeierstrassData) -> KnotCurve:
     """Scan eta downward by halving until the slice braids on N strands.
 
-    Accepts the first eta where the fiber angle is monotone along the slice
-    and its winding is N, and returns that slice; its `eta` is the accepted
-    radius.  When no radius down to min_eta is accepted, the TraceFailure
-    names every eta tried and what rejected it.
+    Accepts the first eta from _ETA_START where the fiber angle is
+    monotone along the slice and its winding is N, and returns that slice;
+    its `eta` is the accepted radius.  When no radius down to _ETA_MIN is
+    accepted, the TraceFailure names every eta tried and what rejected it.
     """
     rejected = []
-    eta = start
-    while eta >= min_eta:
+    eta = _ETA_START
+    while eta >= _ETA_MIN:
         try:
             k = trace_slice(w, eta)
             n = braid_from_knot(k).n_strands
@@ -452,7 +454,7 @@ def select_eta(w: WeierstrassData, start: float = 0.1,
         except (TraceFailure, NonMonotoneFiberAngle, BranchOnSlice) as exc:
             rejected.append(f"{eta!r} ({type(exc).__name__})")
         eta *= 0.5
-    raise TraceFailure(f"no workable slice radius found above {min_eta}; "
+    raise TraceFailure(f"no workable slice radius found above {_ETA_MIN}; "
                        f"tried eta = {', '.join(rejected)}")
 
 

@@ -237,45 +237,64 @@ def _sphere_point(num, den, scale: float) -> np.ndarray:
             / (nn + dd)[..., None])
 
 
-def gauss_maps(w: WeierstrassData, z, cross_check_tol: float = 1e-10):
+# the two Gauss-map routes agree within this chordal distance
+_CROSS_CHECK_TOL = 1e-10
+
+
+def _larger_pair(a, b):
+    """Pointwise the (num, den) pair of a and b with the larger
+    |num|^2 + |den|^2, a where they tie."""
+    use_b = (np.abs(b[0]) ** 2 + np.abs(b[1]) ** 2
+             > np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2)
+    return np.where(use_b, b[0], a[0]), np.where(use_b, b[1], a[1])
+
+
+def gauss_maps(w: WeierstrassData, z):
     """Both sphere-valued tangent-plane coordinates at z, as unit 3-vectors.
 
-    Uses the closed quotients f3'/f2' and -f4'/f2', each returned as its
-    point on the unit sphere (see _sphere_point; the value g is
-    (X + iY) / (1 - Z)).  Vectorized: each coordinate has shape
-    np.shape(z) + (3,).  A chart whose numerator and denominator
-    polynomials are both identically zero (as happens for the second
-    coordinate of a complex-curve input) carries no information; that
-    slot is returned as None.  Pointwise 0/0 on nonzero polynomials means
-    z is a branch point and raises IndeterminateGauss.
+    Since f1'f2' + f3'f4' = 0, each coordinate is a quotient two ways:
 
-    The first coordinate is cross-validated against the quotient of the
-    complexified differentials (phi3 + i phi4) / (phi1 - i phi2) wherever
-    the latter is well-conditioned; GaussCrossCheckFailure is raised when
-    the two points are farther apart than cross_check_tol.
+        gamma+ = f3'/f2' = -f1'/f4'        gamma- = -f4'/f2' = f1'/f3'
+
+    (the two (num, den) pairs are proportional wherever both are nonzero).
+    At each point the pair with the larger |num|^2 + |den|^2 is used and
+    returned as its point on the unit sphere (see _sphere_point; the value
+    g is (X + iY) / (1 - Z)), so a quotient is 0/0 only where all four f'
+    vanish: z is a branch point, and IndeterminateGauss is raised.
+    Vectorized: each coordinate has shape np.shape(z) + (3,).  A chart
+    whose first pair is identically zero (as happens for the second
+    coordinate of a complex-curve input) carries no information; that
+    slot is returned as None.
+
+    The first coordinate is cross-validated against the same quotients of
+    the complexified differentials phi = dF/dx - i dF/dy,
+    (phi3 + i phi4) / (phi1 - i phi2) or -(phi1 + i phi2) / (phi3 - i phi4),
+    chosen the same way from their own values, wherever they are
+    well-conditioned; GaussCrossCheckFailure is raised when the two points
+    are farther apart than _CROSS_CHECK_TOL.
     """
     scale = w.coeff_scale()
-
-    def chart(num_poly: CPoly, den_poly: CPoly, sign: float):
-        if num_poly.is_zero and den_poly.is_zero:
-            return None
-        return _sphere_point(sign * num_poly(z), den_poly(z), scale)
-
-    gp = chart(w.fprime[2], w.fprime[1], 1.0)
-    gm = chart(w.fprime[3], w.fprime[1], -1.0)
+    f = w.fprime
+    d = [p(z) for p in f]
+    gp = gm = None
+    if not (f[2].is_zero and f[1].is_zero):
+        gp = _sphere_point(*_larger_pair((d[2], d[1]), (-d[0], d[3])), scale)
+    if not (f[3].is_zero and f[1].is_zero):
+        gm = _sphere_point(*_larger_pair((-d[3], d[1]), (d[0], d[2])), scale)
 
     # independent route through the real differential
     if gp is not None:
         fx, fy = jacobian(w, z)
         phi = fx - 1j * fy
-        num = phi[..., 2] + 1j * phi[..., 3]
-        den = phi[..., 0] - 1j * phi[..., 1]
+        num, den = _larger_pair(
+            (phi[..., 2] + 1j * phi[..., 3], phi[..., 0] - 1j * phi[..., 1]),
+            (-(phi[..., 0] + 1j * phi[..., 1]), phi[..., 2] - 1j * phi[..., 3]))
         cond = np.maximum(np.abs(num), np.abs(den)) > 1e-10 * max(1.0, scale)
-        d = np.linalg.norm(gp[cond] - _sphere_point(num[cond], den[cond], scale),
-                           axis=-1)
-        bad = d > cross_check_tol
+        dist = np.linalg.norm(gp[cond] - _sphere_point(num[cond], den[cond], scale),
+                              axis=-1)
+        bad = dist > _CROSS_CHECK_TOL
         if bad.any():
             raise GaussCrossCheckFailure(
                 f"gauss map cross-check failed at z={np.asarray(z)[cond][bad][0]}: "
-                f"chordal distance {d[bad].max():.3e}")
+                f"chordal distance {dist[bad].max():.3e}")
     return gp, gm

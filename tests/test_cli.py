@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchknot import cli, deformation, intersect, knot
+from branchknot import cli, deformation, intersect, knot, weierstrass
 from branchknot.cpoly import CPoly
 from branchknot.weierstrass import WeierstrassData
 
@@ -102,18 +102,15 @@ class TestAnalyze:
         assert "OrderMismatch" in capsys.readouterr().err
 
     def test_unknown_tolerance_exit_code(self, capsys):
-        # analyze reads conf_tol only, and says so
-        rc = run("analyze", "--input", str(DATA / "cusp.json"),
-                 "--tol", "bogus_name=1")
-        assert rc == 2
+        # the command line sets no tolerance: conf_tol is read from the
+        # input only, so argparse refuses the option like any unknown one
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--input", str(DATA / "cusp.json"),
+                "--tol", "conf_tol=1e-9")
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "bogus_name" in err
-        assert "conf_tol" in err and "newton_tol" not in err
-
-    def test_known_tolerance_accepted(self, capsys):
-        rc = run("analyze", "--input", str(DATA / "cusp.json"), "--json",
-                 "--tol", "conf-tol=1e-9")
-        assert rc == 0
+        assert "unrecognized arguments: --tol conf_tol=1e-9" in err
+        assert "Traceback" not in err
 
     def test_non_conformal_map_refused(self, tmp_path, capsys):
         rc = run("analyze", "--input", non_conformal(tmp_path))
@@ -122,10 +119,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_exit_code(self, value, tmp_path, capsys):
-        rc = run("analyze", "--input", non_conformal(tmp_path),
-                 "--tol", f"conf_tol={value}")
-        assert rc == 2
-        assert "must be finite and positive" in capsys.readouterr().err
+        # every other subcommand reads the input's conf_tol as analyze does
+        path = non_conformal(tmp_path, float(value))
+        for argv in (["deform", "--t", "0.05"], ["double-points"],
+                     ["knot"], ["verify"]):
+            rc = run(*argv, "--input", path, "--out-dir", str(tmp_path))
+            assert rc == 2
+            assert "conf_tol must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tolerance_in_input_exit_code(self, value, tmp_path,
@@ -151,11 +151,29 @@ class TestAnalyze:
         assert at_bp["z"] == [0.3, 0.0]
         assert at_bp["gamma_plus"] == at_bp["gamma_minus"] == "undefined (branch point)"
 
+    def test_shared_root_of_a_quotient_on_a_gauss_sample(self, tmp_path,
+                                                          capsys):
+        # f' = (z, z^3 (z - 0.3), z^2 (z - 0.3), -z^2): f2' and f3' share
+        # the immersed root 0.3, where f3'/f2' is 0/0 but -f1'/f4' = 10/3
+        # and f1'/f3' is the pole
+        data = tmp_path / "shared_root.json"
+        data.write_text(json.dumps({"fprime": [
+            [[0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0], [-0.3, 0], [1, 0]],
+            [[0, 0], [0, 0], [-0.3, 0], [1, 0]], [[0, 0], [0, 0], [-1, 0]]]}))
+        rc = run("analyze", "--input", str(data), "--json")
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["branch_points"] == [[0.0, 0.0]]
+        at_root = report["gauss_samples"][0]
+        assert at_root["z"] == [0.3, 0.0]
+        g = 10 / 3
+        assert at_root["gamma_plus"] == pytest.approx(
+            [2 * g / (g * g + 1), 0.0, (g * g - 1) / (g * g + 1)], abs=1e-15)
+        assert at_root["gamma_minus"] == [0.0, 0.0, 1.0]
+
     def test_gauss_cross_check_exit_code(self, monkeypatch, capsys):
         # a cross-check that always fails stands in for disagreeing routes
-        real = cli.gauss_maps
-        monkeypatch.setattr(cli, "gauss_maps",
-                            lambda w, z: real(w, z, cross_check_tol=-1.0))
+        monkeypatch.setattr(weierstrass, "_CROSS_CHECK_TOL", -1.0)
         rc = run("analyze", "--input", str(DATA / "cusp.json"))
         assert rc == 6
         assert "GaussCrossCheckFailure" in capsys.readouterr().err
@@ -290,29 +308,6 @@ class TestDoublePoints:
         assert rc == 2
         assert "BranchPointInRegion" in capsys.readouterr().err
 
-    def test_unknown_tolerance_exit_code(self, capsys):
-        rc = run("double-points", "--input", str(DATA / "cusp.json"),
-                 "--tol", "bogus_name=1")
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "bogus_name" in err
-        assert "conf_tol" in err and "newton_tol" in err
-
-    def test_known_tolerance_accepted(self, tmp_path, capsys):
-        rc = run("double-points", "--input", str(DATA / "cusp.json"),
-                 "--params", cusp_params(tmp_path), "--json",
-                 "--tol", "newton_tol=1e-11")
-        assert rc == 0
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_newton_tol_exit_code(self, value, tmp_path, capsys):
-        # nan converged no seed and inf every seed, both with exit 0
-        rc = run("double-points", "--input", str(DATA / "cusp.json"),
-                 "--params", cusp_params(tmp_path),
-                 "--tol", f"newton_tol={value}")
-        assert rc == 2
-        assert "must be finite and positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["double-points", "--radius", "-0.5"],
         ["double-points", "--grid-n", "2"],
@@ -346,17 +341,14 @@ def sampled_cusp(tmp_path_factory):
 @given(cusp=st.booleans(),
        radius=st.sampled_from(["nan", "inf", "-0.5", "0", "1e-300", "0.3",
                                "0.9", "0.95"]),
-       grid_n=st.integers(-2, 40),
-       newton_tol=st.sampled_from([None, "nan", "0", "-1", "1e-12"]))
+       grid_n=st.integers(-2, 40))
 def test_double_points_exit_code_is_documented(sampled_cusp, cusp, radius,
-                                               grid_n, newton_tol):
+                                               grid_n):
     params, moduli = sampled_cusp
     argv = ["double-points", "--radius", radius, "--grid-n", str(grid_n),
             "--json"]
     argv += (["--input", str(DATA / "cusp.json"), "--params", params] if cusp
              else ["--input", str(DATA / "flat_plane.json")])
-    if newton_tol is not None:
-        argv += ["--tol", f"newton_tol={newton_tol}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)   # an exception here escaped main
@@ -435,10 +427,33 @@ class TestKnot:
         assert "PushoffCollision" in capsys.readouterr().err
 
     def test_sampling_flag_refused(self, capsys):
-        # knot reads --params only; --t is neither its flag nor --tol
+        # knot reads --params only; --t is not its flag
         with pytest.raises(SystemExit) as exc:
             run("knot", "--input", str(DATA / "cusp.json"), "--t", "0.05")
         assert exc.value.code == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(stem=st.sampled_from(sorted(p.stem for p in DATA.glob("*.json"))),
+       eta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.01",
+                            "0.05", "5"]))
+def test_knot_exit_code_is_documented(tmp_path_factory, stem, eta):
+    path = DATA / f"{stem}.json"
+    argv = ["knot", "--input", str(path), "--json",
+            "--out-dir", str(tmp_path_factory.mktemp("knot"))]
+    if eta is not None:
+        argv += ["--eta", eta]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)   # an exception here escaped main
+    assert rc in (0, 2, 5)
+    if rc != 0:
+        assert err.getvalue().count("\n") == 1
+        return
+    report = json.loads(out.getvalue())
+    w = WeierstrassData.from_json_dict(json.loads(path.read_text()))
+    assert report["n_strands"] == w.N
+    assert abs(report["linking_gauss"] - report["crossing_sum"]) <= 1e-6
 
 
 class TestVerify:
@@ -458,13 +473,6 @@ class TestVerify:
                  "--eta", "0.5")
         assert rc == 0
         assert "D=0 e=0 N=1" in capsys.readouterr().out
-
-    def test_unread_tolerance_exit_code(self, capsys):
-        # verify reads no Newton tolerance, so it refuses one
-        rc = run("verify", "--input", str(DATA / "cusp.json"),
-                 "--tol", "newton_tol=1e-2")
-        assert rc == 2
-        assert "newton_tol" in capsys.readouterr().err
 
     def test_identity_violation_exit_code(self, capsys):
         # the sampled double point lies outside the 0.01-ball

@@ -12,7 +12,6 @@ from branchknot.errors import BranchPointInRegion
 from branchknot.intersect import DoublePoint, _merge_pairs
 
 CUSP_T = 0.05
-NEWTON_TOL = 1e-12
 
 
 def pair_dist(dp, a, b):
@@ -294,7 +293,8 @@ def test_merge_pairs_invariant_under_swap(clusters):
 
 def _merged_from_seeds(w, z1, z2):
     """Newton and the merge, as find_double_points runs them at radius 0.5."""
-    a, b, resid, ok = _kernels.newton_double_points(z1, z2, w, NEWTON_TOL, 50)
+    a, b, resid, ok = _kernels.newton_double_points(z1, z2, w,
+                                                  intersect._NEWTON_TOL, 50)
     keep = (ok & (np.abs(a) <= 0.5) & (np.abs(b) <= 0.5)
             & (np.abs(a - b) >= intersect._PAIR_SEP_TOL))
     return _merge_pairs(a[keep], b[keep], resid[keep], intersect._DEDUP_TOL)
@@ -316,8 +316,8 @@ def test_newton_double_points_invariant_under_swap(search_seeds, member, pick):
     rev = _merged_from_seeds(w, z2, z1)
     assert len(fwd) == len(rev)
     for a, b, _ in fwd:
-        # a residual below NEWTON_TOL places a preimage pair only to within
-        # about NEWTON_TOL / sigma_min of the 4x4 Jacobian (2e-9 on the
+        # a residual below _NEWTON_TOL places a preimage pair only to within
+        # about _NEWTON_TOL / sigma_min of the 4x4 Jacobian (2e-9 on the
         # torus member, whose Jacobian is nearly singular), so the swapped
         # run must land within twice that; canonical order can flip for a
         # pair of nearly equal real parts (the torus member's +-0.1i), so
@@ -328,7 +328,7 @@ def test_newton_double_points_invariant_under_swap(search_seeds, member, pick):
                               compute_uv=False).min()
         dp = DoublePoint(a, b, np.zeros(4), 0.0, 0.0)
         assert min(pair_dist(dp, c, d) for c, d, _ in rev) \
-            <= 2.0 * NEWTON_TOL / sigma
+            <= 2.0 * intersect._NEWTON_TOL / sigma
 
 
 def test_search_funnel_logged(cusp_member, caplog):
@@ -395,11 +395,6 @@ class TestBruteForce:
         assert oracle_counts["cusp"] == 1
         assert oracle_counts["torus"] == 2
         assert oracle_counts["flat"] == 0
-
-    def test_explicit_prox(self, flat):
-        # flat map images separate exactly as fast as preimages: nothing
-        # within any proximity below the separation floor
-        assert bk.brute_force_double_points(flat, 0.4, 150, prox=1e-3) == 0
 
 
 def test_double_point_json(cusp_member):

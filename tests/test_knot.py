@@ -222,13 +222,17 @@ class TestLinking:
         for k, e in ((cusp_knot, 3), (torus_knot, 5), (flat_knot, 0)):
             assert abs(bk.linking_number_gauss(k) - e) <= 1e-6
 
-    def test_pushoff_collision(self, flat_knot):
-        with pytest.raises(PushoffCollision):
-            bk.linking_number_gauss(flat_knot, pushoff_delta=100.0)
-
-    def test_explicit_delta(self, cusp_knot):
-        lk = bk.linking_number_gauss(cusp_knot, pushoff_delta=0.02)
-        assert int(round(lk)) == 3
+    def test_pushoff_collision(self):
+        # a great circle of the (x3,x4)-plane: one sheet, so delta is 0.05,
+        # and every pushoff direction lies in its plane, so each pushed
+        # sample renormalizes back onto the circle
+        th = 2 * np.pi * np.arange(256) / 256
+        q = np.stack([np.zeros_like(th), np.zeros_like(th),
+                      np.cos(th), np.sin(th)], axis=1)
+        k = KnotCurve(samples=q, preimages=np.exp(1j * th), eta=1.0)
+        assert knot_module._min_strand_gap(k) == math.inf
+        with pytest.raises(PushoffCollision, match="delta=5.00e-02"):
+            bk.linking_number_gauss(k)
 
     @pytest.mark.parametrize("q", [7, 9])
     def test_coarse_polygon_is_refined(self, q, monkeypatch):
@@ -306,32 +310,39 @@ class TestContactMargin:
 
 class TestEtaSelection:
     def test_cusp_accepts_first_braidable(self, cusp):
-        k = bk.select_eta(cusp, start=0.1)
+        k = bk.select_eta(cusp)
         assert k.eta == 0.1  # every radius braids for an exact complex curve
         assert np.array_equal(k.samples, bk.trace_slice(cusp, k.eta).samples)
 
-    def test_strong_mixing_scans_down(self):
+    def test_strong_mixing_scans_down(self, monkeypatch):
+        monkeypatch.setattr(knot_module, "_ETA_START", 0.2)
         w = bk.load([CPoly([0, 1]), CPoly([0, 0, 0, -8]),
                      CPoly([0, 0, 1]), CPoly([0, 0, 8])])
-        k = bk.select_eta(w, start=0.2)
+        k = bk.select_eta(w)
         assert k.eta < 0.2
         assert np.array_equal(k.samples, bk.trace_slice(w, k.eta).samples)
         bk.braid_from_knot(k)
 
-    def test_non_radial_slice_is_rejected_and_halved(self):
+    def test_non_radial_slice_is_rejected_and_halved(self, monkeypatch):
         w = dipping_map()
+        eta_min = knot_module._ETA_MIN
+        monkeypatch.setattr(knot_module, "_ETA_START", 0.01)
+        monkeypatch.setattr(knot_module, "_ETA_MIN", 0.004)
         with pytest.raises(TraceFailure) as exc:
-            bk.select_eta(w, start=0.01, min_eta=0.004)
+            bk.select_eta(w)
         msg = str(exc.value)
         assert "0.01 (TraceFailure)" in msg and "0.005 (TraceFailure)" in msg
         # below the dip's floor of about 0.0022 every ray crosses once
-        k = bk.select_eta(w, start=0.01)
+        monkeypatch.setattr(knot_module, "_ETA_MIN", eta_min)
+        k = bk.select_eta(w)
         assert k.eta == 0.00125
         assert bk.braid_from_knot(k).n_strands == 1
 
-    def test_failure_names_every_eta_tried(self, cusp):
+    def test_failure_names_every_eta_tried(self, cusp, monkeypatch):
+        monkeypatch.setattr(knot_module, "_ETA_START", 5.0)
+        monkeypatch.setattr(knot_module, "_ETA_MIN", 2.0)
         with pytest.raises(TraceFailure) as exc:
-            bk.select_eta(cusp, start=5.0, min_eta=2.0)
+            bk.select_eta(cusp)
         msg = str(exc.value)
         assert "5.0 (TraceFailure)" in msg and "2.5 (TraceFailure)" in msg
 

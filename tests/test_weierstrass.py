@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import branchknot as bk
+from branchknot import weierstrass
 from branchknot.cpoly import CPoly
 from branchknot.errors import (
     ConformalityViolation,
@@ -314,9 +315,27 @@ class TestGaussMaps:
             z = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.uniform())
             bk.gauss_maps(ex4, z)
 
-    def test_cross_check_failure_is_named(self, ex4):
+    @pytest.mark.parametrize("orientation", [+1, -1])
+    def test_continuous_through_shared_roots(self, orientation,
+                                             sampled_members):
+        # on a four-function member PB divides f2' and the slot it carries
+        # (f3' for +, f4' for -), so one quotient of a chart is 0/0 at both
+        # roots of PB although the map is immersed there; the other
+        # quotient keeps the chart defined and continuous through them
+        w = sampled_members["four_function", 1, orientation].deformed
+        roots = [r for r in w.fprime[1].roots() if abs(r) > 1e-6]
+        assert len(roots) == 2 and not bk.branch_points(w)
+        for r in roots:
+            at_root = bk.gauss_maps(w, r)
+            for k in range(2, 17):
+                off = 10.0 ** -k * np.exp(0.25j * np.pi)
+                for g, g0 in zip(bk.gauss_maps(w, r + off), at_root):
+                    assert np.linalg.norm(g - g0) <= 10.0 ** (1 - k) + 1e-15
+
+    def test_cross_check_failure_is_named(self, ex4, monkeypatch):
+        monkeypatch.setattr(weierstrass, "_CROSS_CHECK_TOL", -1.0)
         with pytest.raises(GaussCrossCheckFailure):
-            bk.gauss_maps(ex4, 0.5, cross_check_tol=-1.0)
+            bk.gauss_maps(ex4, 0.5)
 
     def test_indeterminate_at_branch_point(self, ex4):
         with pytest.raises(IndeterminateGauss):
