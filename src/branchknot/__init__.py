@@ -31,7 +31,6 @@ from .knot import (
     braid_from_knot,
     contact_transversality_margin,
     linking_number_gauss,
-    orientation_identity_report,
     select_eta,
     self_linking,
     trace_slice,

@@ -13,9 +13,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CPoly"]
+__all__ = ["CPoly", "complex_pairs"]
 
 _ROOT_RESIDUAL_TOL = 1e-6
+
+
+def complex_pairs(pairs, key: str) -> np.ndarray:
+    """[[re, im], ...] (the wire format for coefficients) as a complex
+    array of the same length; trailing zeros are kept.
+
+    Raises ValueError naming key when pairs is not a list, and key and
+    the index of the first entry that is not a pair of numbers.
+    """
+    if not isinstance(pairs, list):
+        raise ValueError(f"{key} must be a list of [re, im] pairs, "
+                         f"got {pairs!r}")
+    out = []
+    for i, pair in enumerate(pairs):
+        try:
+            re, im = pair
+            out.append(complex(re, im))
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}: coefficient {i} must be a pair [re, im] "
+                             f"of numbers, got {pair!r}") from None
+    return np.array(out, np.complex128)
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -50,16 +71,9 @@ class CPoly:
         return cls(a)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "CPoly":
-        """Build from [[re, im], ...] (the wire format for coefficients).
-
-        Raises ValueError naming the first entry that is not a pair.
-        """
-        for i, pair in enumerate(pairs):
-            if len(pair) != 2:
-                raise ValueError(f"coefficient {i} must be a pair [re, im], "
-                                 f"got {pair!r}")
-        return cls([complex(re, im) for re, im in pairs])
+    def from_pairs(cls, pairs, key: str) -> "CPoly":
+        """Build from [[re, im], ...]; see complex_pairs for the errors."""
+        return cls(complex_pairs(pairs, key))
 
     def to_pairs(self) -> list:
         return [[float(c.real), float(c.imag)] for c in self.coeffs]

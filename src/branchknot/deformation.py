@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import CPoly
-from .errors import BranchPointInRegion, OrderViolation, SamplingExhausted
+from .cpoly import CPoly, complex_pairs
+from .errors import OrderViolation, SamplingExhausted
 from .intersect import find_double_points, is_transverse
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, load
 
@@ -66,8 +66,7 @@ class PerturbParams:
         if orientation not in ("+", "-"):
             raise ValueError(f"orientation must be \"+\" or \"-\", "
                              f"got {orientation!r}")
-        return cls(A=np.array([complex(re, im) for re, im in d["A"]]),
-                   B=np.array([complex(re, im) for re, im in d["B"]]),
+        return cls(A=complex_pairs(d["A"], "A"), B=complex_pairs(d["B"], "B"),
                    orientation=+1 if orientation == "+" else -1,
                    t=float(d.get("t", 0.0)))
 
@@ -280,10 +279,7 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
         fm = build_family_member(w, p)
         if branch_points(fm.deformed):
             continue
-        try:
-            dps = find_double_points(fm.deformed, radius=0.5, grid_n=32)
-        except BranchPointInRegion:
-            continue
+        dps = find_double_points(fm.deformed, radius=0.5, grid_n=32)
         if all(is_transverse(dp, fm.deformed) for dp in dps):
             return p
     raise SamplingExhausted(f"no generic parameters found in {_MAX_DRAWS} draws "

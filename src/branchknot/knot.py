@@ -20,6 +20,11 @@ fiber plane counts +1.  The pushoff for the linking route displaces every
 sample in one fixed direction of the (x3,x4)-plane, which reproduces the
 diagram framing; displacing radially instead would add the fiber winding
 of the strands to the count.
+
+verify_double_point_formula is the one check of the identity
+2D = e - (N-1): it counts the perturbed map's double points in the
+eta-ball, takes e and N from the base map's slice and confirms that the
+perturbed slice has the same crossing sum.
 """
 
 from __future__ import annotations
@@ -40,15 +45,14 @@ from .errors import (
     PushoffCollision,
     TraceFailure,
 )
-from .intersect import find_double_points, is_transverse
+from .intersect import find_double_points
 from .weierstrass import WeierstrassData, branch_points, evaluate_F, jacobian
 
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "algebraic_crossing_number",
            "linking_number_gauss", "self_linking",
            "contact_transversality_margin", "select_eta",
-           "verify_double_point_formula", "orientation_identity_report",
-           "VerifyReport"]
+           "verify_double_point_formula", "VerifyReport"]
 
 
 @dataclass(frozen=True)
@@ -302,28 +306,18 @@ def _min_strand_gap(k: KnotCurve) -> float:
 
 
 def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
-    """Completion (e1, e2, e3) of the unit vector p to a basis of R^4.
+    """Completion (p i, p k, p j) of the unit vector p to a basis of R^4.
 
-    det[p, e1, e2, e3] is fixed to -1 so that projecting from pole p
-    preserves the sphere's outward orientation (the chart is centered at
-    the antipode -p, where the outward normal is -p); the Gauss double
-    sum downstream then agrees in sign with the braid convention.
+    p is read as the quaternion a + b i + c j + d k; right multiplication
+    by the unit quaternions i, k, j is orthogonal and moves p to three
+    vectors orthonormal to it and to each other, with det[p, frame] = -1
+    for every p.  That sign makes projecting from pole p preserve the
+    sphere's outward orientation (the chart is centered at the antipode
+    -p, where the outward normal is -p); the Gauss double sum downstream
+    then agrees in sign with the braid convention.
     """
-    cols = [p]
-    for k in range(4):
-        v = np.zeros(4)
-        v[k] = 1.0
-        for u in cols:
-            v = v - (v @ u) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            cols.append(v / nv)
-        if len(cols) == 4:
-            break
-    M = np.stack(cols, axis=1)
-    if np.linalg.det(M) > 0:
-        M[:, 3] = -M[:, 3]
-    return M[:, 1:]
+    a, b, c, d = p
+    return np.array([[-b, a, d, -c], [-d, c, -b, a], [-c, -d, a, b]]).T
 
 
 def _stereographic(x: np.ndarray, pole: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -498,12 +492,14 @@ def verify_double_point_formula(w_base: WeierstrassData,
     """Count double points, compute knot invariants, check 2D = e - (N-1).
 
     D counts the double points of the perturbed map whose image lies
-    inside the eta-ball; e and N come from the base map's slice at eta;
-    the perturbed map is re-sliced to confirm the crossing sum is
-    unchanged.  With eta=None the radius is the one select_eta accepts on
-    the base map, and the slice it returns is the base slice.  With p=None
-    the base map itself is used (it must then be an immersion), which
-    covers unbranched control data.
+    inside the eta-ball; e and N come from the base map's slice at eta,
+    taken in the member's frame (relabel_orders' frame, which is the
+    input's own unless its orders need relabelling); the perturbed map is
+    re-sliced to confirm the crossing sum is unchanged.  With eta=None
+    the radius is the one select_eta accepts on the base map, and the
+    slice it returns is the base slice.  With p=None the base map itself
+    is used (it must then be an immersion), which covers unbranched
+    control data.
 
     Raises FormulaViolation (with the report attached, the message as its
     last note) when the identity fails, when the two crossing-count routes
@@ -511,10 +507,12 @@ def verify_double_point_formula(w_base: WeierstrassData,
     when the perturbed slice changes its crossing sum.
     """
     notes = []
-    deformed = w_base
+    base = deformed = w_base
     if p is not None:
+        # the member lives in relabel_orders' frame, so its base is sliced
+        # in that frame too
         fm = build_family_member(w_base, p)
-        deformed = fm.deformed
+        base, deformed = fm.base, fm.deformed
 
     dps = find_double_points(deformed, radius=radius, grid_n=grid_n)
     if any(abs(dp.z1) > 0.9 * radius or abs(dp.z2) > 0.9 * radius
@@ -523,7 +521,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
                      f"{radius * 1.5}")
         dps = find_double_points(deformed, radius=radius * 1.5, grid_n=grid_n)
 
-    k_base = select_eta(w_base) if eta is None else trace_slice(w_base, eta)
+    k_base = select_eta(base) if eta is None else trace_slice(base, eta)
     eta = k_base.eta
     in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
     D = len(in_ball)
@@ -531,7 +529,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
     b = braid_from_knot(k_base)
     e = algebraic_crossing_number(b)
     lk = linking_number_gauss(k_base)
-    N = w_base.N
+    N = base.N
     report = VerifyReport(
         N=N, D=D, D_total=len(dps), e=e, e_gauss=lk,
         sl=self_linking(e, N),
@@ -557,47 +555,3 @@ def verify_double_point_formula(w_base: WeierstrassData,
         report.notes.append(violation)
         raise FormulaViolation(violation, report)
     return report
-
-
-def orientation_identity_report(w_base: WeierstrassData, p: PerturbParams,
-                                eta: float) -> dict:
-    """Documented outcome for the second-orientation double-point identity.
-
-    The sign convention tying the crossing sum to the second-orientation
-    double-point count is not pinned down a priori, so this reports the
-    count, the crossing sum under both sign conventions, and which (if
-    either) convention satisfies 2D = (+/-)e - (N-1).  The slice is taken
-    on the perturbed map: the identity's base-map hypothesis (topological
-    embedding) need not hold for the inputs this is used on.
-    """
-    if p.orientation >= 0:
-        raise ValueError("expected orientation -1 parameters")
-    fm = build_family_member(w_base, p)
-    dps = find_double_points(fm.deformed, radius=0.35, grid_n=40)
-    in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
-    transverse = [dp for dp in dps if is_transverse(dp, fm.deformed)]
-    D = len(in_ball)
-    N = w_base.N
-
-    k_t = trace_slice(fm.deformed, eta)
-    e = algebraic_crossing_number(braid_from_knot(k_t))
-    lk = linking_number_gauss(k_t)
-
-    target = lambda ee: 2 * D == ee - (N - 1)
-    plus_ok = target(e)
-    minus_ok = target(-e)
-    matched = {(True, True): "both", (True, False): "+",
-               (False, True): "-", (False, False): "none"}[(plus_ok, minus_ok)]
-    return {
-        "N": N,
-        "D_minus": D,
-        "D_total": len(dps),
-        "D_transverse": len(transverse),
-        "e_right_handed": e,
-        "e_reversed": -e,
-        "e_gauss": lk,
-        "eta": eta,
-        "identity_plus_convention": plus_ok,
-        "identity_minus_convention": minus_ok,
-        "matched_convention": matched,
-    }

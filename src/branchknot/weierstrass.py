@@ -76,7 +76,8 @@ class WeierstrassData:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeierstrassData":
-        fprime = tuple(CPoly.from_pairs(p) for p in d["fprime"])
+        fprime = tuple(CPoly.from_pairs(p, f"fprime[{i}]")
+                       for i, p in enumerate(d["fprime"]))
         return load(fprime, conf_tol=float(d.get("conf_tol", 1e-10)))
 
     def to_json_dict(self) -> dict:

@@ -192,15 +192,22 @@ def test_criterion_09_invariant_suite(cusp, torus5, ex4, cusp_member,
 
 
 def test_criterion_10_negative_orientation_report(ex4):
-    p = bk.sample_generic(ex4, 0.01, 3, orientation=-1)
-    rep = bk.orientation_identity_report(ex4, p, eta=1e-2)
-    assert rep["D_minus"] >= 0
-    assert isinstance(rep["e_right_handed"], int)
-    assert rep["matched_convention"] in {"+", "-", "both", "none"}
-    assert abs(rep["e_gauss"] - rep["e_right_handed"]) <= 0.1
-    _ok(10, "negative family documented outcome: "
-            f"D-={rep['D_minus']} (total {rep['D_total']}), "
-            f"e={rep['e_right_handed']} / reversed {rep['e_reversed']}, "
-            f"2D- = e-(N-1): {rep['identity_plus_convention']}, "
-            f"2D- = -e-(N-1): {rep['identity_minus_convention']}, "
-            f"matched convention: '{rep['matched_convention']}'")
+    # orientation - in its own convention: 2 (D+ - D-) = sigma e - (N-1)
+    # with sigma = -1, where e is the crossing sum of the deformed map's
+    # slice and a double point in the ball has sign sigma * sign(det)
+    sigma, eta = -1, 1e-2
+    p = bk.sample_generic(ex4, 0.01, 3, orientation=sigma)
+    fm = bk.build_family_member(ex4, p)
+    dps = bk.find_double_points(fm.deformed, radius=0.5, grid_n=48)
+    in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
+    signed = sum(sigma * int(np.sign(dp.transversality_det)) for dp in in_ball)
+    k = bk.trace_slice(fm.deformed, eta)
+    b = bk.braid_from_knot(k)
+    e, N = bk.algebraic_crossing_number(b), ex4.N
+    lk = bk.linking_number_gauss(k)
+    assert b.n_strands == N
+    assert abs(lk - e) <= 1e-6
+    assert 2 * signed == sigma * e - (N - 1)
+    _ok(10, f"negative family in its own convention: {len(in_ball)} double "
+            f"points in the ball (total {len(dps)}), signed sum {signed}, "
+            f"e={e} (gauss {lk:.6f}), 2*{signed} = {sigma}*({e})-({N}-1)")

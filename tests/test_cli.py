@@ -36,7 +36,13 @@ BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
             "orientation_x.json": {"A": [[0, 0]] * 2, "B": [[0, 0]] * 3,
                                    "orientation": "x"},
             "orientation_1.json": {"A": [[0, 0]] * 2, "B": [[0, 0]] * 3,
-                                   "orientation": 1}}
+                                   "orientation": 1},
+            "long_pair_A.json": {"A": [[1, 2, 3], [0, 0]], "B": [[0, 0]] * 3},
+            "short_pair_B.json": {"A": [[0, 0]] * 2,
+                                  "B": [[0, 0], [0, 0], [1]]},
+            "word_in_A.json": {"A": [[0, 0], ["x", 0]], "B": [[0, 0]] * 3},
+            "word_in_fprime.json": {"fprime": [[], [["x", 0]], [], []]},
+            "number_for_A.json": {"A": 5, "B": [[0, 0]] * 3}}
 
 
 class TestBadFiles:
@@ -60,9 +66,25 @@ class TestBadFiles:
         (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
           "--params", "{tmp}/orientation_1.json"],
          ["orientation_1.json", "orientation"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/long_pair_A.json"],
+         ["long_pair_A.json", "A: coefficient 0", "[1, 2, 3]"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/short_pair_B.json"],
+         ["short_pair_B.json", "B: coefficient 2", "[1]"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/word_in_A.json"],
+         ["word_in_A.json", "A: coefficient 1", "['x', 0]"]),
+        (["analyze", "--input", "{tmp}/word_in_fprime.json"],
+         ["word_in_fprime.json", "fprime[1]: coefficient 0", "['x', 0]"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/number_for_A.json"],
+         ["number_for_A.json", "A must be a list of [re, im] pairs, got 5"]),
     ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
             "params-without-A", "out-dir-under-file", "short-coefficient-pair",
-            "orientation-string", "orientation-number"])
+            "orientation-string", "orientation-number", "long-pair-in-params",
+            "short-pair-in-params", "non-number-in-params",
+            "non-number-in-fprime", "number-for-a-vector"])
     def test_exit_code(self, argv, named, tmp_path, capsys):
         for name, doc in BAD_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -467,6 +489,17 @@ class TestVerify:
         assert "D=1 e=3 N=2" in out and "OK" in out
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["identity_ok"] is True
+
+    def test_relabelled_input(self, tmp_path, capsys):
+        # x -> (conj z^2, z^3) is verified in the relabelled (cusp) frame
+        path = tmp_path / "mirrored_cusp.json"
+        path.write_text(json.dumps(
+            {"fprime": [[], [[0, 0], [2, 0]], [[0, 0], [0, 0], [3, 0]], []]}))
+        with pytest.warns(UserWarning, match="reflects one coordinate plane"):
+            rc = run("verify", "--input", str(path), "--t", "0.005",
+                     "--seed", "1", "--eta", "0.05")
+        assert rc == 0
+        assert capsys.readouterr().out == "D=1 e=3 N=2 sl=1 OK\n"
 
     def test_flat_control(self, capsys):
         rc = run("verify", "--input", str(DATA / "flat_plane.json"),

@@ -164,4 +164,4 @@ def test_shift_down():
 
 def test_wire_format_round_trip():
     p = CPoly([1 + 2j, 0, -3j])
-    assert coeffs_equal(CPoly.from_pairs(p.to_pairs()), p)
+    assert coeffs_equal(CPoly.from_pairs(p.to_pairs(), "p"), p)

@@ -234,6 +234,18 @@ class TestLinking:
         with pytest.raises(PushoffCollision, match="delta=5.00e-02"):
             bk.linking_number_gauss(k)
 
+    def test_projection_frame_is_oriented_and_orthonormal(self):
+        rng = np.random.default_rng(5)
+        poles = rng.standard_normal((2000, 4))
+        poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+        # on the coordinate axes a completion that orthogonalizes the axes
+        # in turn would have to skip one of them
+        poles = np.vstack([poles, np.eye(4), -np.eye(4)])
+        for pole in poles:
+            M = np.column_stack([pole, knot_module._orthonormal_frame(pole)])
+            assert abs(np.linalg.det(M) + 1.0) <= 1e-12
+            assert np.abs(M.T @ M - np.eye(4)).max() <= 1e-12
+
     @pytest.mark.parametrize("q", [7, 9])
     def test_coarse_polygon_is_refined(self, q, monkeypatch):
         # on z -> (2 z^2, z^q), fixed 75-point polygons link the T(2,7) and
@@ -367,6 +379,19 @@ class TestVerify:
         d = rep.to_json_dict()
         assert d["identity_ok"] is True
         assert d["N"] == 1
+
+    @pytest.mark.parametrize("eta", [0.05, None])
+    def test_relabelled_input_is_sliced_in_the_member_frame(self, eta):
+        # x -> (conj z^2, z^3): relabel_orders swaps f1' and f2', which
+        # mirrors one coordinate plane, so the member is the cusp's and
+        # its base slice must be the cusp's trefoil too
+        w = bk.load([CPoly.zero(), CPoly([0, 2]), CPoly([0, 0, 3]),
+                     CPoly.zero()])
+        with pytest.warns(UserWarning, match="reflects one coordinate plane"):
+            p = bk.sample_generic(w, 0.005, 1)
+            rep = bk.verify_double_point_formula(w, p, eta)
+        assert (rep.D, rep.e, rep.N, rep.e_deformed) == (1, 3, 2, 3)
+        assert rep.identity_ok and rep.isotopy_ok
 
     def test_violation_carries_report(self, cusp):
         # at t = 0.05 the sampled member's double point lies outside the
