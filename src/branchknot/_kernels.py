@@ -1,22 +1,30 @@
 """Hot numeric kernels: one numpy implementation each.
 
-  newton_double_points  -- damped Newton on F(z1) - F(z2) = 0 over a batch
-                           of seed pairs (the double-point solver core)
+  newton_double_points  -- damped Newton on the deflated double-point
+                           system G(z1, z2) = 0 over a batch of seed pairs
   linking_sum           -- Gauss linking number of two closed polylines in
                            R^3 via the segment-pair solid-angle formula,
                            on blocks of the difference grid P_i - Q_j
 
-The Newton kernel evaluates the map through weierstrass.evaluate_F and
-weierstrass.jacobian, so it has no polynomial arithmetic of its own.
+F(z1) = F(z2) holds on the whole diagonal z1 = z2, so the Newton kernel
+divides it out: with d = z1 - z2, omega = conj(d)/d and the divided
+differences Df = (f(z1) - f(z2))/d of the primitives, (F1 + i F2)(z1) -
+(F1 + i F2)(z2) = d G1 and (F3 + i F4)(z1) - (F3 + i F4)(z2) = d G2 for
+G = (Df1 + omega conj(Df2), Df3 + omega conj(Df4)).  Near the diagonal G
+tends to dF(e)/e along the direction e of d, not zero where F is
+immersed, so Newton on G cannot converge onto it.
+
 There is no compiled path; the False flag below stays only because
 benchmark records read it to name the kernel path that ran.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
-from .weierstrass import WeierstrassData, evaluate_F, jacobian
+from .weierstrass import WeierstrassData, jacobian
 
 # read by the benchmark record's kernel_path field
 HAS_NUMBA = False
@@ -26,59 +34,104 @@ HAS_NUMBA = False
 # near 4 MB
 LINK_BLOCK = 16
 
+log = logging.getLogger(__name__)
+
+
+def _deflated(w: WeierstrassData, z1, z2, with_jacobian: bool):
+    """G at the pairs (z1, z2), shape (k, 2), and with_jacobian its real
+    Jacobian (k, 4, 4), else None: rows Re G1, Re G2, Im G1, Im G2 and
+    columns x1, y1, x2, y2.
+
+    One joint Horner pass gives each Df: a Horner step P <- P z + c takes
+    Df to Df z1 + P(z2).  The Jacobian follows from d G = H, the map
+    difference F(z1) - F(z2) as two complex numbers: DG = (DH - G Dd)/d.
+    """
+    C = np.zeros((4, max(p.coeffs.size for p in w.f)), np.complex128)
+    for i, p in enumerate(w.f):
+        C[i, :p.coeffs.size] = p.coeffs
+    q = p2 = np.zeros((4,) + z1.shape, np.complex128)
+    for c in C.T[::-1, :, None]:
+        q, p2 = q * z1 + p2, p2 * z2 + c
+    d = z1 - z2
+    G = (q[0::2] + np.conj(d) / d * np.conj(q[1::2])).T
+    if not with_jacobian:
+        return G, None
+    (fx1, fy1), (fx2, fy2) = jacobian(w, z1), jacobian(w, z2)
+    DH = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)
+    DG = ((DH[:, 0::2] + 1j * DH[:, 1::2] - G[:, :, None] * [1, 1j, -1, -1j])
+          / d[:, None, None])
+    return G, np.concatenate([DG.real, DG.imag], axis=1)
+
+
+def _solve(J: np.ndarray, r: np.ndarray):
+    """x solving the 4x4 systems J x = r by one Gauss-Jordan elimination
+    with partial pivoting, and the mask of the x that mean anything: the
+    systems whose determinant, the product of the pivots, exceeds 1e-300."""
+    A = np.concatenate([J, r[:, :, None]], axis=2)
+    rows, det = np.arange(len(A)), np.ones(len(A))
+    for c in range(4):
+        p = c + np.argmax(np.abs(A[:, c:, c]), axis=1)
+        A[rows, c], A[rows, p] = A[rows, p], A[rows, c]
+        det *= np.where(p == c, 1.0, -1.0) * A[:, c, c]
+        A[A[:, c, c] == 0.0, c, c] = 1.0
+        m = A[:, :, c] / A[:, c, None, c]
+        m[:, c] = 0.0
+        A -= m[:, :, None] * A[:, c, None, :]
+    return A[:, :, 4] / np.diagonal(A, axis1=1, axis2=2), np.abs(det) > 1e-300
+
 
 def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
-    """Damped Newton from each seed pair (z1[k], z2[k]).
+    """Damped Newton on G = 0 from each seed pair (z1[k], z2[k]) of
+    distinct points: the final pairs, their residuals |F(z1) - F(z2)|
+    (as |d| |G|, without the cancellation of subtracting map values) and
+    the mask of the seeds that reached tol.
 
-    Returns the final pairs, their residuals |F(z1) - F(z2)| and a mask
-    of the seeds that reached tol.  A seed whose 4x4 Jacobian is singular
-    (a preimage at a branch point) stops where it is, with ok False.
-
-    The residual vector F(z1) - F(z2) of the damping trial that was kept
-    is stored and is the next iteration's right-hand side, so the map is
-    evaluated once per trial and never twice at the same points.
+    Each iteration factorises the batch of Jacobians once.  A seed stops
+    where it is, with ok False, when its Jacobian is singular, when its
+    step would leave the unit disk (outside it branch_points does not
+    look, and the polynomials overflow), or when 9 halvings of the step
+    do not keep |G| from rising.  A DEBUG line counts each reason.
     """
     z1 = np.array(z1, np.complex128)
     z2 = np.array(z2, np.complex128)
-    tol, max_iter = float(tol), int(max_iter)
     n = z1.size
     ok = np.zeros(n, bool)
     alive = np.ones(n, bool)
-    rvec = evaluate_F(w, z1) - evaluate_F(w, z2)
-    resid = np.linalg.norm(rvec, axis=1)
-
+    gnorm = np.zeros(n)
+    n_off = n_stall = n_sing = 0
     for _ in range(max_iter):
         idx = np.nonzero(alive & ~ok)[0]
         if idx.size == 0:
             break
-        a, b = z1[idx], z2[idx]
-        r = rvec[idx]
-        fx1, fy1 = jacobian(w, a)
-        fx2, fy2 = jacobian(w, b)
-        J = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)  # (k,4,4) columns
-        det = np.abs(np.linalg.det(J))
-        good = det > 1e-300
-        alive[idx[~good]] = False
-        idx = idx[good]
-        if idx.size == 0:
-            continue
-        delta = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
-        # damped update: halve until the residual does not increase
-        base1, base2 = z1[idx], z2[idx]
-        cur = resid[idx]
-        step = np.ones(idx.size)
-        for _half in range(9):
-            n1 = base1 + step * (delta[:, 0] + 1j * delta[:, 1])
-            n2 = base2 + step * (delta[:, 2] + 1j * delta[:, 3])
-            trial = evaluate_F(w, n1) - evaluate_F(w, n2)
-            new = np.linalg.norm(trial, axis=1)
-            worse = new > cur
-            if not worse.any():
+        G, J = _deflated(w, z1[idx], z2[idx], True)
+        cur = gnorm[idx] = np.linalg.norm(G, axis=1)
+        delta, good = _solve(J, -np.hstack([G.real, G.imag]))
+        d1, d2 = (delta[:, 0::2] + 1j * delta[:, 1::2]).T
+        keep = good & (np.abs(z1[idx] + d1) <= 1.0) & (np.abs(z2[idx] + d2) <= 1.0)
+        n_sing += int((~good).sum())
+        n_off += int((good & ~keep).sum())
+        alive[idx[~keep]] = False
+        idx, cur, d1, d2 = idx[keep], cur[keep], d1[keep], d2[keep]
+        # damped update: halve the step until |G| does not rise, at most
+        # 9 times; the disk is convex, so every trial stays in it
+        todo = np.arange(idx.size)
+        for half in range(10):
+            n1 = z1[idx[todo]] + 0.5 ** half * d1[todo]
+            n2 = z2[idx[todo]] + 0.5 ** half * d2[todo]
+            new = np.linalg.norm(_deflated(w, n1, n2, False)[0], axis=1)
+            done = new <= cur[todo]
+            k = idx[todo[done]]
+            z1[k], z2[k], gnorm[k] = n1[done], n2[done], new[done]
+            ok[k] = np.abs(n1[done] - n2[done]) * new[done] <= tol
+            todo = todo[~done]
+            if todo.size == 0:
                 break
-            step[worse] *= 0.5
-        z1[idx], z2[idx], resid[idx], rvec[idx] = n1, n2, new, trial
-        ok[idx] = new <= tol
-    return z1, z2, resid, ok
+        n_stall += todo.size
+        alive[idx[todo]] = False
+    log.debug("newton: %d seeds, %d stopped off the disk, %d stalled, "
+              "%d singular, %d converged", n, n_off, n_stall, n_sing,
+              int(ok.sum()))
+    return z1, z2, np.abs(z1 - z2) * gnorm, ok
 
 
 def linking_sum(P, Q) -> float:

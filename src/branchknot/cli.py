@@ -9,12 +9,13 @@ Subcommands mirror the pipeline stages:
   verify         run the full double-point / crossing-number identity check
 
 The numerical tolerances are constants of their modules; the input's
-conf_tol (default 1e-10) is the one a user sets.
+conf_tol (default 1e-10) is the one a user sets.  Double-point seeds
+are all pairs of a disk grid grid-n // 4 points across.
 
 Exit codes: 0 success, 2 input validation failure (a file that cannot
 be read or written, a document that is not a JSON object or lacks a key,
 a tangent plane or Gauss map asked for at a branch point, a search
-region outside 0 < radius <= 0.9 or with grid-n < 5, and an input
+region outside 0 < radius <= 0.9 or with grid-n < 28, and an input
 conf_tol or slice radius eta that is not finite and positive included),
 3 sampling exhausted (a scale t that is not finite and positive
 included), 4 identity violation, 5 slicing/braiding failure, 6 the two
@@ -280,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--radius", type=float, default=0.5,
                            help="double-point search radius")
             p.add_argument("--grid-n", type=int, default=48,
-                           help="seeding grid resolution")
+                           help="seeds are all pairs of a disk grid "
+                                "GRID_N // 4 points across (at least 28)")
 
     command("analyze", "validate and summarize input data")
     command("deform", "sample generic perturbation parameters", sampling=True)

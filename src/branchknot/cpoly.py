@@ -23,7 +23,7 @@ def complex_pairs(pairs, key: str) -> np.ndarray:
     array of the same length; trailing zeros are kept.
 
     Raises ValueError naming key when pairs is not a list, and key and
-    the index of the first entry that is not a pair of numbers.
+    the index of the first entry that is not a pair of non-boolean numbers.
     """
     if not isinstance(pairs, list):
         raise ValueError(f"{key} must be a list of [re, im] pairs, "
@@ -32,6 +32,8 @@ def complex_pairs(pairs, key: str) -> np.ndarray:
     for i, pair in enumerate(pairs):
         try:
             re, im = pair
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise TypeError
             out.append(complex(re, im))
         except (TypeError, ValueError):
             raise ValueError(f"{key}: coefficient {i} must be a pair [re, im] "

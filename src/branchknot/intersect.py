@@ -2,13 +2,10 @@
 
 Two independent routes to the double-point count:
 
-* find_double_points: grid-seeded damped Newton on F(z1) - F(z2) = 0,
-  deduplicated into canonical preimage pairs.  This is the production
-  path; the inner iteration runs through the batch kernel.  The grid
-  pairs whose images are close are thinned to one Newton seed per
-  unordered pair of preimage cells (the pair of smallest image
-  mismatch), because near a branch point the proximity cutoff admits
-  whole continua of pairs that all converge to the same double point.
+* find_double_points: damped Newton (_kernels.newton_double_points) on
+  F(z1) = F(z2) with the diagonal z1 = z2 divided out, seeded from every
+  pair of points of a disk grid grid_n // 4 points across, deduplicated
+  into canonical preimage pairs.  This is the production path.
 * brute_force_double_points: an exhaustive proximity scan on a fine grid,
   filtered to local minima of the image mismatch and clustered.  It never
   touches the Newton machinery, so it can referee it.
@@ -34,7 +31,6 @@ log = logging.getLogger(__name__)
 # find_double_points: Newton stops below a residual of _NEWTON_TOL, a
 # converged pair closer than _PAIR_SEP_TOL is on the diagonal, and pairs
 # within _DEDUP_TOL are one double point
-_SEED_SEP = 3.0
 _NEWTON_TOL = 1e-12
 _PAIR_SEP_TOL = 1e-5
 _DEDUP_TOL = 1e-6
@@ -81,51 +77,30 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
                        grid_n: int = 48) -> list[DoublePoint]:
     """All double points of F with both preimages in |z| <= radius.
 
-    Takes every grid pair whose images are closer than a coarse threshold
-    (scaled by the local differential size) and whose preimages are more
-    than _SEED_SEP grid spacings apart.  These pairs are bucketed by the
-    unordered pair of square preimage cells (side _SEED_SEP spacings)
-    holding their two points, and only the pair of smallest image
-    mismatch in each bucket seeds damped Newton iteration.  Converged
-    pairs are filtered against the diagonal, deduplicated under the pair
-    swap, and returned in canonical order.
+    Seeds _kernels.newton_double_points, whose system has no zeros on
+    the diagonal, from every pair of points of a disk grid grid_n // 4
+    points across (8 at grid_n 32, 12 at 48).  Converged pairs off the
+    diagonal are deduplicated under the pair swap and returned in
+    canonical order.
 
-    Raises ValueError unless 0 < radius <= 0.9 and grid_n >= 5, and
-    BranchPointInRegion when the search disk contains a branch point (the
-    Newton system is singular there and the count is not well-defined for
-    a non-immersed map).  Below grid 5 no two grid points are more than
-    _SEED_SEP spacings apart, so the search could only ever report none.
+    Raises ValueError unless 0 < radius <= 0.9 and grid_n >= 28, and
+    BranchPointInRegion when the search disk contains a branch point,
+    where the count is not well-defined.  Seed grids under 7 points
+    across (grid_n 28) missed double points of tested members.
     """
     if not 0.0 < radius <= 0.9:
         raise ValueError(f"radius must be in (0, 0.9], got {radius!r}")
-    min_n = int(_SEED_SEP) + 2
-    if grid_n < min_n:
-        raise ValueError(f"grid_n must be >= {min_n}, got {grid_n!r}")
+    if grid_n < 28:
+        raise ValueError(f"grid_n must be >= 28, got {grid_n!r}")
     bps = [b for b in branch_points(w) if abs(b) <= radius]
     if bps:
         raise BranchPointInRegion(f"branch points in search disk: {bps}")
 
-    pts = _disk_grid(radius, grid_n)
-    spacing = 2.0 * radius / (grid_n - 1)
-    img = evaluate_F(w, pts)
-    fx, fy = jacobian(w, pts)
-    jnorm = np.sqrt(np.einsum("ij,ij->i", fx, fx) + np.einsum("ij,ij->i", fy, fy))
-    gscale = float(np.percentile(jnorm, 90)) or 1.0
-
-    tree = cKDTree(img)
-    pairs = tree.query_pairs(4.0 * spacing * gscale, output_type="ndarray")
-    n_prox = len(pairs)
-    cell = max(_SEED_SEP * spacing, 5 * _PAIR_SEP_TOL)
-    # np.take and np.compress copy the same rows as fancy and boolean
-    # indexing, two to three times faster on these pair arrays
-    far = np.abs(np.take(pts, pairs[:, 0]) - np.take(pts, pairs[:, 1])) > cell
-    pairs = np.compress(far, pairs, axis=0)
-    n_sep = len(pairs)
-    pairs = _thin_seeds(pts, img, pairs, radius, cell)
-
+    pts = _disk_grid(radius, grid_n // 4)
+    i, j = np.triu_indices(pts.size, 1)
     # at most 50 damped Newton steps per seed
     z1, z2, resid, ok = _kernels.newton_double_points(
-        pts[pairs[:, 0]], pts[pairs[:, 1]], w, _NEWTON_TOL, 50)
+        pts[i], pts[j], w, _NEWTON_TOL, 50)
 
     keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
             & (np.abs(z1 - z2) >= _PAIR_SEP_TOL))
@@ -134,46 +109,10 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
         image = 0.5 * (evaluate_F(w, a) + evaluate_F(w, b))
         out.append(DoublePoint(z1=a, z2=b, image=image, residual=r,
                                transversality_det=_frame_det(w, a, b)))
-    log.debug("double-point search: %d proximity pairs, %d past the separation "
-              "floor, %d seeds, %d converged, %d double points",
-              n_prox, n_sep, len(pairs), int(ok.sum()), len(out))
+    log.debug("double-point search: %d seed-grid points, %d seeds, "
+              "%d converged, %d double points",
+              pts.size, i.size, int(ok.sum()), len(out))
     return out
-
-
-def _thin_seeds(pts: np.ndarray, img: np.ndarray, pairs: np.ndarray,
-                radius: float, cell: float) -> np.ndarray:
-    """One pair per unordered (cell(z1), cell(z2)) bucket: the one of
-    smallest image mismatch, the first in `pairs` among equal mismatches,
-    with the buckets in ascending key order.  A discarded pair has both
-    ends within one cell of its representative's, the scale below which
-    the separation floor already refuses to tell preimages apart.
-
-    Two linear passes instead of a sort: np.minimum.at scatters each
-    mismatch into a table of per-bucket minima, and a second one takes
-    the smallest pair index that attains its bucket's minimum.  The table
-    is indexed by the key itself while it has no more entries than there
-    are pairs, else by the key's rank among the keys present, so memory
-    stays O(pairs).
-    """
-    nc = int(2.0 * radius / cell) + 2
-    cellid = (((pts.real + radius) // cell).astype(np.int64) * nc
-              + ((pts.imag + radius) // cell).astype(np.int64))
-    i, j = pairs.T
-    c0, c1 = cellid[i], cellid[j]
-    key = np.minimum(c0, c1) * nc * nc + np.maximum(c0, c1)
-    mism = np.linalg.norm(np.take(img, i, axis=0) - np.take(img, j, axis=0),
-                          axis=1)
-    n = len(pairs)
-    n_buckets = nc ** 4
-    if n_buckets > n:
-        present, key = np.unique(key, return_inverse=True)
-        n_buckets = present.size
-    best = np.full(n_buckets, np.inf)
-    np.minimum.at(best, key, mism)
-    tied = np.flatnonzero(mism == best[key])
-    first = np.full(n_buckets, n)
-    np.minimum.at(first, key[tied], tied)
-    return pairs[first[first < n]]
 
 
 def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,

@@ -76,6 +76,9 @@ class WeierstrassData:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeierstrassData":
+        if not isinstance(d["fprime"], list):
+            raise ValueError("fprime must be a list of four coefficient "
+                             f"lists, got {d['fprime']!r}")
         fprime = tuple(CPoly.from_pairs(p, f"fprime[{i}]")
                        for i, p in enumerate(d["fprime"]))
         return load(fprime, conf_tol=float(d.get("conf_tol", 1e-10)))

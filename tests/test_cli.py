@@ -42,7 +42,10 @@ BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
                                   "B": [[0, 0], [0, 0], [1]]},
             "word_in_A.json": {"A": [[0, 0], ["x", 0]], "B": [[0, 0]] * 3},
             "word_in_fprime.json": {"fprime": [[], [["x", 0]], [], []]},
-            "number_for_A.json": {"A": 5, "B": [[0, 0]] * 3}}
+            "number_for_A.json": {"A": 5, "B": [[0, 0]] * 3},
+            "bool_in_fprime.json": {"fprime": [[[0, 0], [True, 0]], [],
+                                               [[0, 0], [0, 0], [3, 0]], []]},
+            "number_for_fprime.json": {"fprime": 5}}
 
 
 class TestBadFiles:
@@ -80,11 +83,16 @@ class TestBadFiles:
         (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
           "--params", "{tmp}/number_for_A.json"],
          ["number_for_A.json", "A must be a list of [re, im] pairs, got 5"]),
+        (["analyze", "--input", "{tmp}/bool_in_fprime.json"],
+         ["bool_in_fprime.json", "fprime[0]: coefficient 1", "[True, 0]"]),
+        (["analyze", "--input", "{tmp}/number_for_fprime.json"],
+         ["number_for_fprime.json", "fprime must be a list of four", "got 5"]),
     ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
             "params-without-A", "out-dir-under-file", "short-coefficient-pair",
             "orientation-string", "orientation-number", "long-pair-in-params",
             "short-pair-in-params", "non-number-in-params",
-            "non-number-in-fprime", "number-for-a-vector"])
+            "non-number-in-fprime", "number-for-a-vector", "bool-in-fprime",
+            "number-for-fprime"])
     def test_exit_code(self, argv, named, tmp_path, capsys):
         for name, doc in BAD_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -334,11 +342,13 @@ class TestDoublePoints:
         ["double-points", "--radius", "-0.5"],
         ["double-points", "--grid-n", "2"],
         ["double-points", "--grid-n", "4"],
+        ["double-points", "--grid-n", "27"],
         ["verify", "--eta", "0.5", "--grid-n", "1"],
-    ], ids=["negative-radius", "grid-n-2", "grid-n-4", "verify-grid-n-1"])
+    ], ids=["negative-radius", "grid-n-2", "grid-n-4", "grid-n-27",
+            "verify-grid-n-1"])
     def test_out_of_range_region_exit_code(self, argv, capsys):
-        # below grid 5 no two grid points are farther apart than the
-        # search's separation floor, so it could only ever report none
+        # below grid 28 the seed grid is under 7 points across, and seed
+        # grids that narrow missed double points that wider ones find
         rc = run(*argv, "--input", str(DATA / "flat_plane.json"))
         assert rc == 2
         assert "ValueError" in capsys.readouterr().err

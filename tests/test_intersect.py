@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,9 +67,6 @@ class TestFindDoublePoints:
 
 
 class TestSeedThinning:
-    # without thinning, Newton got about 400k seeds at grid 48 on each
-    # member; one seed per preimage cell pair leaves about 8k
-    MAX_SEEDS = 20_000
     EXPECT = {
         "cusp_member": [(-math.sqrt(3) * CUSP_T, math.sqrt(3) * CUSP_T)],
         "torus_member": [(-0.1, 0.1), (-0.1j, 0.1j)],
@@ -76,6 +74,8 @@ class TestSeedThinning:
 
     @pytest.mark.parametrize("member", sorted(EXPECT))
     def test_newton_seed_count(self, member, request, monkeypatch):
+        # the seeds are all C(n, 2) pairs of the n points of the seed grid,
+        # 12 across at grid 48
         fm = request.getfixturevalue(member)
         seeds = []
         newton = _kernels.newton_double_points
@@ -86,13 +86,16 @@ class TestSeedThinning:
 
         monkeypatch.setattr(_kernels, "newton_double_points", counting)
         dps = bk.find_double_points(fm.deformed, 0.5, 48)
-        assert 0 < sum(seeds) <= self.MAX_SEEDS
+        n = intersect._disk_grid(0.5, 12).size
+        assert n == 88
+        assert seeds == [math.comb(n, 2)]
         expect = self.EXPECT[member]
         assert len(dps) == len(expect)
         for a, b in expect:
             assert min(pair_dist(dp, a, b) for dp in dps) < 1e-8
 
-    # counts the finder reported before seed thinning, on sampled
+    # counts the finder reported when it still solved F(z1) - F(z2) = 0
+    # from proximity-tree seeds, before they were thinned, on sampled
     # (non-holomorphic) members; (fixture, orientation, seed) -> count
     SAMPLED = {
         ("four_function", +1, 1): 1, ("four_function", +1, 2): 0,
@@ -154,112 +157,6 @@ class TestMergePairs:
         assert _merge_pairs(empty, empty, np.zeros(0), 1e-6) == []
 
 
-def _bucket_keys(pts, img, pairs, radius, cell):
-    """Each pair's unordered cell-pair key and image mismatch, computed
-    the way the thinning step computes them."""
-    nc = int(2.0 * radius / cell) + 2
-    cellid = (((pts.real + radius) // cell).astype(np.int64) * nc
-              + ((pts.imag + radius) // cell).astype(np.int64))
-    c0, c1 = cellid[pairs[:, 0]], cellid[pairs[:, 1]]
-    key = np.minimum(c0, c1) * nc * nc + np.maximum(c0, c1)
-    mism = np.linalg.norm(img[pairs[:, 0]] - img[pairs[:, 1]], axis=1)
-    return key, mism
-
-
-def _thin_seeds_lexsort(pts, img, pairs, radius, cell):
-    """The sorting thinning step, kept as the reference: a stable lexsort
-    by (key, mismatch) and the first pair of each key's run."""
-    key, mism = _bucket_keys(pts, img, pairs, radius, cell)
-    order = np.lexsort((mism, key))
-    first = np.ones(order.size, bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    return pairs[order[first]]
-
-
-def _tied_buckets(pts, img, pairs, radius, cell):
-    """Number of buckets whose least mismatch more than one pair attains."""
-    key, mism = _bucket_keys(pts, img, pairs, radius, cell)
-    order = np.lexsort((mism, key))
-    key, mism = key[order], mism[order]
-    start = np.ones(key.size, bool)
-    start[1:] = key[1:] != key[:-1]
-    at_min = mism == mism[start][np.cumsum(start) - 1]
-    _, counts = np.unique(key[at_min], return_counts=True)
-    return int((counts > 1).sum())
-
-
-class _Captured(Exception):
-    pass
-
-
-class TestThinSeeds:
-    """The linear per-bucket minimum against the lexsort reference."""
-
-    @pytest.mark.parametrize("n", [32, 48])
-    @pytest.mark.parametrize("member", ["flat", "cusp_member", "torus_member"])
-    def test_matches_lexsort_on_search_pairs(self, member, n, request,
-                                             monkeypatch):
-        w = request.getfixturevalue(member)
-        w = getattr(w, "deformed", w)
-        captured = []
-
-        def capture(*args):
-            captured.append(args)
-            raise _Captured   # the pairs are all this test needs
-
-        monkeypatch.setattr(intersect, "_thin_seeds", capture)
-        with pytest.raises(_Captured):
-            bk.find_double_points(w, 0.5, n)
-        monkeypatch.undo()
-        (args,) = captured
-        got = intersect._thin_seeds(*args)
-        assert np.array_equal(got, _thin_seeds_lexsort(*args))
-        if (member, n) == ("flat", 48):
-            # exact ties decide the representative in over a thousand buckets
-            assert _tied_buckets(*args) > 1000
-
-    @staticmethod
-    def _synthetic(rng, n_pairs, n_pts=20):
-        # cell 0.4 on a 0.5 disk: a 4**4 = 256 entry bucket table, so 300
-        # pairs index it by key and 40 pairs by rank; images with 0/1
-        # coordinates make many mismatches tie exactly
-        pts = rng.uniform(-0.45, 0.45, (n_pts, 2)) @ np.array([1, 1j])
-        img = rng.integers(0, 2, (n_pts, 4)).astype(float)
-        pairs = rng.integers(0, n_pts, (n_pairs, 2))
-        return pts, img, pairs, 0.5, 0.4
-
-    @pytest.mark.parametrize("n_pairs", [40, 300])
-    def test_ties_and_shuffled_order(self, n_pairs):
-        rng = np.random.default_rng(n_pairs)
-        pts, img, pairs, radius, cell = self._synthetic(rng, n_pairs)
-        assert _tied_buckets(pts, img, pairs, radius, cell) > 0
-        for _ in range(5):
-            shuffled = pairs[rng.permutation(n_pairs)]
-            args = (pts, img, shuffled, radius, cell)
-            assert np.array_equal(intersect._thin_seeds(*args),
-                                  _thin_seeds_lexsort(*args))
-
-    def test_single_bucket(self):
-        # points 0, 1 share the cell at -0.4 - 0.4i and points 2, 3 the one
-        # at 0.4 + 0.4i (side 0.2), so every pair is in one bucket; pairs 3
-        # and 5 tie for the least mismatch, 0, and pair 3 comes first
-        pts = np.array([-0.4 - 0.4j, -0.39 - 0.4j, 0.4 + 0.4j, 0.41 + 0.4j])
-        img = np.array([[0, 0, 0, 0], [1, 0, 0, 0],
-                        [2, 0, 0, 0], [0, 0, 0, 0]], float)
-        pairs = np.array([[0, 2], [1, 2], [1, 3], [0, 3], [3, 1], [3, 0],
-                          [2, 0]])
-        got = intersect._thin_seeds(pts, img, pairs, 0.5, 0.2)
-        assert np.array_equal(got, [[0, 3]])
-        assert np.array_equal(got, _thin_seeds_lexsort(pts, img, pairs,
-                                                        0.5, 0.2))
-
-    def test_no_pairs(self):
-        pts = np.array([0.1j, 0.3 + 0j])
-        empty = np.zeros((0, 2), np.int64)
-        got = intersect._thin_seeds(pts, np.zeros((2, 4)), empty, 0.5, 0.1)
-        assert got.shape == (0, 2)
-
-
 _coord = st.floats(-0.5, 0.5, allow_nan=False)
 _jitter = st.floats(-1e-8, 1e-8, allow_nan=False)
 
@@ -300,21 +197,33 @@ def _merged_from_seeds(w, z1, z2):
     return _merge_pairs(a[keep], b[keep], resid[keep], intersect._DEDUP_TOL)
 
 
+def _seed_pairs(radius, grid_n):
+    """The seeds of a search: every pair of points of its seed grid."""
+    pts = intersect._disk_grid(radius, grid_n // 4)
+    i, j = np.triu_indices(pts.size, 1)
+    return pts[i], pts[j]
+
+
 @settings(max_examples=20, deadline=None)
 @given(member=st.sampled_from(["cusp_member", "torus_member"]),
        pick=st.none() | st.lists(st.integers(0, 10 ** 6), min_size=1,
                                  max_size=64))
 @example(member="cusp_member", pick=None)
 @example(member="torus_member", pick=None)
-def test_newton_double_points_invariant_under_swap(search_seeds, member, pick):
-    # pick=None seeds Newton with every pair the search hands over
-    w, z1, z2 = search_seeds[member]
+def test_newton_double_points_invariant_under_swap(request, member, pick):
+    # pick=None seeds Newton with every pair of a grid-48 search; G is
+    # symmetric under the swap (omega is unchanged by it), so the swapped
+    # seeds must find the same double points
+    w = request.getfixturevalue(member).deformed
+    z1, z2 = _seed_pairs(0.5, 48)
     if pick is not None:
         sel = np.array(pick) % z1.size
         z1, z2 = z1[sel], z2[sel]
     fwd = _merged_from_seeds(w, z1, z2)
     rev = _merged_from_seeds(w, z2, z1)
     assert len(fwd) == len(rev)
+    if pick is None:
+        assert len(fwd) == {"cusp_member": 1, "torus_member": 2}[member]
     for a, b, _ in fwd:
         # a residual below _NEWTON_TOL places a preimage pair only to within
         # about _NEWTON_TOL / sigma_min of the 4x4 Jacobian (2e-9 on the
@@ -331,16 +240,69 @@ def test_newton_double_points_invariant_under_swap(search_seeds, member, pick):
             <= 2.0 * intersect._NEWTON_TOL / sigma
 
 
+def test_seeds_near_the_diagonal_do_not_converge_onto_it(cusp_member):
+    # each point of a grid-48 search's seed grid, paired with a point 1e-3
+    # away in one of eight directions: near the diagonal G is about
+    # dF(e)/e, not zero, so Newton on G moves no pair onto the diagonal,
+    # converged or not
+    pts = intersect._disk_grid(0.5, 12)
+    z1 = np.repeat(pts, 8)
+    z2 = z1 + 1e-3 * np.exp(2j * np.pi * np.tile(np.arange(8), pts.size) / 8)
+    a, b, _, _ = _kernels.newton_double_points(
+        z1, z2, cusp_member.deformed, intersect._NEWTON_TOL, 50)
+    assert (np.abs(a - b) >= intersect._PAIR_SEP_TOL).all()
+
+
 def test_search_funnel_logged(cusp_member, caplog):
-    with caplog.at_level(logging.DEBUG, logger=intersect.__name__):
+    with caplog.at_level(logging.DEBUG, logger="branchknot"):
         dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
-    (rec,) = [r for r in caplog.records if r.name == intersect.__name__]
-    msg = rec.getMessage()
-    for stage in ("proximity pairs", "past the separation floor", "seeds",
-                  "converged", "double points"):
-        assert stage in msg
-    n_prox, n_sep, n_seeds, n_conv, n_dps = rec.args
-    assert n_prox > n_sep > n_seeds >= n_conv > n_dps == len(dps) == 1
+    (newton,) = [r for r in caplog.records if r.name == _kernels.__name__]
+    (search,) = [r for r in caplog.records if r.name == intersect.__name__]
+    for stage in ("seeds", "stopped off the disk", "stalled", "singular",
+                  "converged"):
+        assert stage in newton.getMessage()
+    for stage in ("seed-grid points", "seeds", "converged", "double points"):
+        assert stage in search.getMessage()
+    n_seeds, n_off, n_stalled, n_singular, n_conv = newton.args
+    n_points, n_search_seeds, n_search_conv, n_dps = search.args
+    # 88 points, all C(88, 2) pairs as seeds, and every seed accounted for
+    assert n_points == 88
+    assert n_seeds == n_search_seeds == math.comb(88, 2)
+    assert n_off + n_stalled + n_singular + n_conv == n_seeds
+    assert n_off > 0 and n_stalled == n_singular == 0
+    assert n_conv == n_search_conv > n_dps == len(dps) == 1
+
+
+def _complex_curve(p, q):
+    """The complex curve z -> (z^p, z^q), given by its derivatives."""
+    return bk.load([CPoly([0] * (p - 1) + [p]), CPoly.zero(),
+                    CPoly([0] * (q - 1) + [q]), CPoly.zero()])
+
+
+def test_search_far_from_the_seeds_does_not_overflow():
+    # Newton steps from seeds on this member can reach far outside the
+    # disk, where the map overflows; Milnor's delta of T(5, 9) is 16
+    w = _complex_curve(5, 9)
+    member = bk.build_family_member(w, bk.sample_generic(w, 1e-6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dps = bk.find_double_points(member.deformed, 0.5, 48)
+    assert len(dps) == 16
+
+
+TORUS_PQ = [(p, q) for p in range(2, 6) for q in range(p + 1, 10)
+            if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p,q", TORUS_PQ)
+def test_search_finds_milnor_delta(p, q):
+    # a generic small perturbation of z -> (z^p, z^q) has (p-1)(q-1)/2
+    # double points near 0, Milnor's delta of the T(p, q) singularity
+    w = _complex_curve(p, q)
+    for seed in (1, 2):
+        member = bk.build_family_member(w, bk.sample_generic(w, 0.005, seed))
+        dps = bk.find_double_points(member.deformed, 0.9, 48)
+        assert len(dps) == (p - 1) * (q - 1) // 2
 
 
 def _is_transverse_recomputed(dp, w) -> bool:

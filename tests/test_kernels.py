@@ -98,91 +98,59 @@ class TestNewtonKernel:
         root = np.sqrt(3) * T
         assert sorted([a[0].real, b[0].real]) == pytest.approx([-root, root], abs=1e-9)
 
-    def test_singular_jacobian_stops_at_seed(self, cusp):
-        # z1 = 0 is the branch point of the unperturbed cusp, where the
-        # 4x4 Jacobian is singular: the seed is dropped, not solved
-        z1 = np.array([0j])
-        z2 = np.array([0.1 + 0j])
-        a, b, res, ok = _kernels.newton_double_points(z1, z2, cusp, 1e-12, 50)
+    def test_singular_jacobian_stops_at_seed(self, flat):
+        # on the flat plane z -> (z, 0) the deflated system is the constant
+        # G = (1, 0), whose Jacobian is zero: the seed is dropped, not solved
+        z1 = np.array([0.1 + 0j])
+        z2 = np.array([-0.2 + 0.1j])
+        a, b, res, ok = _kernels.newton_double_points(z1, z2, flat, 1e-12, 50)
         assert not ok[0]
         assert a[0] == z1[0] and b[0] == z2[0]
-        assert res[0] == pytest.approx(np.hypot(0.1 ** 2, 0.1 ** 3), rel=1e-12)
-
-
-def _newton_reference(z1, z2, w, tol, max_iter):
-    """The kernel that evaluated F(z1) - F(z2) again at the start of every
-    iteration, kept as the reference.  It looks the map up on _kernels at
-    each call, so a counter patched in there counts its calls too."""
-    evaluate_F, jacobian = _kernels.evaluate_F, _kernels.jacobian
-    z1 = np.array(z1, np.complex128)
-    z2 = np.array(z2, np.complex128)
-    n = z1.size
-    ok = np.zeros(n, bool)
-    alive = np.ones(n, bool)
-    resid = np.linalg.norm(evaluate_F(w, z1) - evaluate_F(w, z2), axis=1)
-    for _ in range(max_iter):
-        idx = np.nonzero(alive & ~ok)[0]
-        if idx.size == 0:
-            break
-        a, b = z1[idx], z2[idx]
-        r = evaluate_F(w, a) - evaluate_F(w, b)
-        fx1, fy1 = jacobian(w, a)
-        fx2, fy2 = jacobian(w, b)
-        J = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)
-        good = np.abs(np.linalg.det(J)) > 1e-300
-        alive[idx[~good]] = False
-        idx = idx[good]
-        if idx.size == 0:
-            continue
-        delta = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
-        base1, base2 = z1[idx], z2[idx]
-        cur = resid[idx]
-        step = np.ones(idx.size)
-        for _half in range(9):
-            n1 = base1 + step * (delta[:, 0] + 1j * delta[:, 1])
-            n2 = base2 + step * (delta[:, 2] + 1j * delta[:, 3])
-            new = np.linalg.norm(evaluate_F(w, n1) - evaluate_F(w, n2), axis=1)
-            worse = new > cur
-            if not worse.any():
-                break
-            step[worse] *= 0.5
-        z1[idx], z2[idx], resid[idx] = n1, n2, new
-        ok[idx] = new <= tol
-    return z1, z2, resid, ok
+        assert res[0] == pytest.approx(abs(z1[0] - z2[0]), rel=1e-12)
 
 
 class TestNewtonReusesResidual:
-    """The kernel against the one that evaluated F twice more per step."""
+    """The residual the kernel returns is the |G| of its last accepted
+    step, not a fresh evaluation, and each seed's run does not depend on
+    the rest of its batch."""
 
     @staticmethod
-    def _counted(monkeypatch, kernel, *args):
-        calls = {"F": 0, "J": 0}
-        evaluate_F, jacobian = _kernels.evaluate_F, _kernels.jacobian
+    def _counted(monkeypatch, *args):
+        calls = {"G": 0, "DG": 0, "J": 0}
+        deflated, jacobian = _kernels._deflated, _kernels.jacobian
 
-        def counted_F(*a):
-            calls["F"] += 1
-            return evaluate_F(*a)
+        def counted_deflated(w, z1, z2, with_jacobian):
+            calls["DG" if with_jacobian else "G"] += 1
+            return deflated(w, z1, z2, with_jacobian)
 
         def counted_J(*a):
             calls["J"] += 1
             return jacobian(*a)
 
         with monkeypatch.context() as m:
-            m.setattr(_kernels, "evaluate_F", counted_F)
+            m.setattr(_kernels, "_deflated", counted_deflated)
             m.setattr(_kernels, "jacobian", counted_J)
-            return kernel(*args), calls
+            return _kernels.newton_double_points(*args), calls
 
     def _check(self, monkeypatch, z1, z2, w):
-        got, new = self._counted(monkeypatch, _kernels.newton_double_points,
-                                 z1, z2, w, 1e-12, 50)
-        ref, old = self._counted(monkeypatch, _newton_reference,
-                                 z1, z2, w, 1e-12, 50)
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
-        # each iteration that runs takes two jacobian calls in both kernels
-        # and two evaluate_F calls fewer in the new one
-        assert new["J"] == old["J"] > 0
-        assert old["F"] - new["F"] == new["J"]
+        got, calls = self._counted(monkeypatch, z1, z2, w, 1e-12, 50)
+        # the same seeds again, batched with their own reversal: each
+        # seed's run is bit for bit the one it has alone
+        both = _kernels.newton_double_points(np.concatenate([z1, z1[::-1]]),
+                                             np.concatenate([z2, z2[::-1]]),
+                                             w, 1e-12, 50)
+        n = z1.size
+        for g, b in zip(got, both):
+            assert np.array_equal(g, b[:n])
+            assert np.array_equal(g, b[n:][::-1])
+        # each iteration takes one Jacobian pass (two jacobian calls) and
+        # at least one trial step; the returned residual is the trial's
+        # |d| |G|, equal to a fresh evaluation at the final pair
+        a, b, res, ok = got
+        assert calls["DG"] > 0 and calls["J"] == 2 * calls["DG"]
+        assert calls["G"] >= calls["DG"]
+        G, _ = _kernels._deflated(w, a, b, False)
+        assert np.array_equal(res, np.abs(a - b) * np.linalg.norm(G, axis=1))
         return got
 
     @pytest.mark.parametrize("member", ["cusp_member", "torus_member"])
@@ -193,7 +161,79 @@ class TestNewtonReusesResidual:
         assert ok.sum() > 1000
 
     def test_branch_point_seed_bit_identical(self, cusp, monkeypatch):
+        # the kernel does not know branch points: from this seed it walks
+        # into the cusp's one at 0, where |F(z1) - F(z2)| vanishes, which is
+        # why find_double_points refuses a region that holds one
         z1 = np.array([0j])
         z2 = np.array([0.1 + 0j])
         a, b, res, ok = self._check(monkeypatch, z1, z2, cusp)
-        assert not ok[0] and a[0] == z1[0] and b[0] == z2[0]
+        assert ok[0] and res[0] <= 1e-12
+        assert a[0] == -b[0] and abs(a[0]) < 1e-4
+
+
+def _random_pairs(seed, n=40, radius=0.5, min_sep=0.05):
+    """Pairs of points of the disk at least min_sep apart."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-radius, radius, (4 * n, 2)) @ [1, 1j]
+    z1, z2 = z[: 2 * n], z[2 * n:]
+    keep = ((np.abs(z1) <= radius) & (np.abs(z2) <= radius)
+            & (np.abs(z1 - z2) >= min_sep))
+    return z1[keep][:n], z2[keep][:n]
+
+
+class TestDeflatedSystem:
+    """G and its analytic Jacobian, on the cusp member and on a sampled
+    four-function member (all four components nonzero)."""
+
+    @pytest.fixture(params=["cusp", "four_function"])
+    def member(self, request, cusp_member, sampled_members):
+        if request.param == "cusp":
+            return cusp_member.deformed
+        return sampled_members["four_function", 1, +1].deformed
+
+    def test_times_d_is_the_map_difference(self, member):
+        # (F1 + i F2)(z1) - (F1 + i F2)(z2) = d G1, and the same for G2
+        z1, z2 = _random_pairs(1)
+        G, _ = _kernels._deflated(member, z1, z2, False)
+        diff = bk.evaluate_F(member, z1) - bk.evaluate_F(member, z2)
+        got = (z1 - z2)[:, None] * G
+        assert np.abs(got - (diff[:, 0::2] + 1j * diff[:, 1::2])).max() < 1e-15
+
+    def test_jacobian_matches_central_differences(self, member):
+        z1, z2 = _random_pairs(2)
+        _, J = _kernels._deflated(member, z1, z2, True)
+        scale = np.abs(J).max(axis=(1, 2))
+        h = 1e-6
+        for col, (e1, e2) in enumerate([(1, 0), (1j, 0), (0, 1), (0, 1j)]):
+            up, _ = _kernels._deflated(member, z1 + h * e1, z2 + h * e2, False)
+            down, _ = _kernels._deflated(member, z1 - h * e1, z2 - h * e2,
+                                         False)
+            fd = (up - down) / (2 * h)
+            fd = np.hstack([fd.real, fd.imag])
+            assert (np.abs(J[:, :, col] - fd).max(axis=1) <= 1e-7 * scale).all()
+
+    def test_symmetric_under_swap(self, member):
+        z1, z2 = _random_pairs(3)
+        G, _ = _kernels._deflated(member, z1, z2, False)
+        G_swapped, _ = _kernels._deflated(member, z2, z1, False)
+        assert np.abs(G - G_swapped).max() <= 1e-14 * np.abs(G).max()
+
+
+class TestSolve:
+    def test_matches_numpy_solve(self):
+        rng = np.random.default_rng(4)
+        J = rng.standard_normal((200, 4, 4))
+        r = rng.standard_normal((200, 4))
+        x, good = _kernels._solve(J, r)
+        assert good.all()
+        assert np.allclose(x, np.linalg.solve(J, r[..., None])[..., 0],
+                           rtol=1e-9, atol=1e-12)
+
+    def test_singular_systems_are_flagged(self):
+        rng = np.random.default_rng(5)
+        J = rng.standard_normal((3, 4, 4))
+        J[0, 2] = 0.0                 # a zero row
+        J[1, :, 3] = J[1, :, 0]       # two equal columns
+        x, good = _kernels._solve(J, np.ones((3, 4)))
+        assert good.tolist() == [False, False, True]
+        assert np.isfinite(x).all()
