@@ -14,12 +14,12 @@ are all pairs of a disk grid grid-n // 4 points across.
 
 Exit codes: 0 success, 2 input validation failure (a file that cannot
 be read or written, a document that is not a JSON object or lacks a key,
-a tangent plane or Gauss map asked for at a branch point, a search
-region outside 0 < radius <= 0.9 or with grid-n < 28, and an input
-conf_tol or slice radius eta that is not finite and positive included),
-3 sampling exhausted (a scale t that is not finite and positive
-included), 4 identity violation, 5 slicing/braiding failure, 6 the two
-Gauss-map routes disagree.
+a tangent plane or Gauss map asked for at a branch point, a grid-n below
+28, a double-points radius outside (0, 0.9], a verify slice past
+|z| = 0.9, and an input conf_tol or slice radius eta that is not finite
+and positive included), 3 sampling exhausted (a scale t that is not
+finite and positive included), 4 identity violation, 5 slicing/braiding
+failure, 6 the two Gauss-map routes disagree.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def cmd_verify(args) -> int:
     else:
         p = None
     try:
-        report = knot.verify_double_point_formula(
-            w, p, args.eta, radius=args.radius, grid_n=args.grid_n)
+        report = knot.verify_double_point_formula(w, p, args.eta,
+                                                  grid_n=args.grid_n)
     except FormulaViolation as exc:
         if exc.report is not None:
             r = exc.report
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, summary, eta=False, sampling=False, params=False,
-                region=False):
+                grid=False):
         # no prefix matching: an abbreviation would stop working, or change
         # meaning, when a later option shares its prefix
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
@@ -277,21 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--params", default=None,
                            help="explicit parameter JSON; the command runs "
                                 "on that family member")
-        if region:
-            p.add_argument("--radius", type=float, default=0.5,
-                           help="double-point search radius")
+        if grid:
             p.add_argument("--grid-n", type=int, default=48,
                            help="seeds are all pairs of a disk grid "
                                 "GRID_N // 4 points across (at least 28)")
+        return p
 
     command("analyze", "validate and summarize input data")
     command("deform", "sample generic perturbation parameters", sampling=True)
     command("double-points", "locate self-intersections", params=True,
-            region=True)
+            grid=True).add_argument("--radius", type=float, default=0.5,
+                                    help="double-point search radius")
     command("knot", "trace the sphere slice and braid it", eta=True,
             params=True)
     command("verify", "check 2D = e - (N-1) end to end", eta=True,
-            sampling=True, params=True, region=True)
+            sampling=True, params=True, grid=True)
     return ap
 
 

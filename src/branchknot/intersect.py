@@ -30,10 +30,11 @@ log = logging.getLogger(__name__)
 
 # find_double_points: Newton stops below a residual of _NEWTON_TOL, a
 # converged pair closer than _PAIR_SEP_TOL is on the diagonal, and pairs
-# within _DEDUP_TOL are one double point
+# within _DEDUP_TOL are one double point; a search radius is <= _MAX_RADIUS
 _NEWTON_TOL = 1e-12
 _PAIR_SEP_TOL = 1e-5
 _DEDUP_TOL = 1e-6
+_MAX_RADIUS = 0.9
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     where the count is not well-defined.  Seed grids under 7 points
     across (grid_n 28) missed double points of tested members.
     """
-    if not 0.0 < radius <= 0.9:
-        raise ValueError(f"radius must be in (0, 0.9], got {radius!r}")
+    if not 0.0 < radius <= _MAX_RADIUS:
+        raise ValueError(f"radius must be in (0, {_MAX_RADIUS}], got {radius!r}")
     if grid_n < 28:
         raise ValueError(f"grid_n must be >= 28, got {grid_n!r}")
     bps = [b for b in branch_points(w) if abs(b) <= radius]

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -357,8 +358,8 @@ class TestDoublePoints:
 @pytest.fixture(scope="module")
 def sampled_cusp(tmp_path_factory):
     """A sampled cusp member's params file, and for each of its double
-    points the larger preimage modulus (from a grid-48 search of the whole
-    admissible disk)."""
+    points the larger preimage modulus and the image's norm (from a
+    grid-48 search of the whole admissible disk)."""
     w = WeierstrassData.from_json_dict(json.loads((DATA / "cusp.json").read_text()))
     p = deformation.sample_generic(w, 0.05, 1, orientation=+1)
     path = tmp_path_factory.mktemp("sampled_cusp") / "params.json"
@@ -366,7 +367,8 @@ def sampled_cusp(tmp_path_factory):
     deformed = deformation.build_family_member(w, p).deformed
     dps = intersect.find_double_points(deformed, 0.9, 48)
     assert dps
-    return str(path), [max(abs(dp.z1), abs(dp.z2)) for dp in dps]
+    return (str(path), [max(abs(dp.z1), abs(dp.z2)) for dp in dps],
+            [float(np.linalg.norm(dp.image)) for dp in dps])
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,7 +378,7 @@ def sampled_cusp(tmp_path_factory):
        grid_n=st.integers(-2, 40))
 def test_double_points_exit_code_is_documented(sampled_cusp, cusp, radius,
                                                grid_n):
-    params, moduli = sampled_cusp
+    params, moduli, _ = sampled_cusp
     argv = ["double-points", "--radius", radius, "--grid-n", str(grid_n),
             "--json"]
     argv += (["--input", str(DATA / "cusp.json"), "--params", params] if cusp
@@ -392,6 +394,32 @@ def test_double_points_exit_code_is_documented(sampled_cusp, cusp, radius,
     # both preimages lie in the disk
     expect = sum(m <= float(radius) for m in moduli) if cusp else 0
     assert len(json.loads(out.getvalue())) == expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(cusp=st.booleans(),
+       eta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.01",
+                            "0.05", "0.5", "0.95"]),
+       grid_n=st.integers(20, 40))
+def test_verify_exit_code_is_documented(sampled_cusp, cusp, eta, grid_n):
+    params, _, norms = sampled_cusp
+    argv = ["verify", "--grid-n", str(grid_n), "--json"]
+    argv += (["--input", str(DATA / "cusp.json"), "--params", params] if cusp
+             else ["--input", str(DATA / "flat_plane.json")])
+    if eta is not None:
+        argv += ["--eta", eta]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)   # an exception here escaped main
+    assert rc in (0, 2, 4, 5)
+    if rc != 0:
+        assert err.getvalue().count("\n") == 1
+        return
+    # the summary line comes first, then the JSON report; D counts the
+    # double points in the ball that the whole admissible disk holds
+    report = json.loads(out.getvalue().partition("\n")[2])
+    expect = sum(n < report["eta"] for n in norms) if cusp else 0
+    assert report["D"] == expect
 
 
 class TestKnot:
@@ -451,6 +479,17 @@ class TestKnot:
         err = capsys.readouterr().err
         assert "ValueError" in err and "finite and > 0" in err
 
+    @pytest.mark.parametrize("eta", ["0.9", "0.94"])
+    def test_slice_past_the_search_limit_exit_code(self, eta, capsys):
+        # the flat plane's slice at eta is the circle |z| = eta, and
+        # verify's search disk is a little wider than the slice
+        rc = run("verify", "--input", str(DATA / "flat_plane.json"),
+                 "--eta", eta)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: the slice at eta={eta}" in err
+        assert "limit |z| <= 0.9" in err
+
     def test_touching_pushoff_exit_code(self, tmp_path, capsys):
         # the four-function slice lies in {x4 = 0}: its pushoff touches it
         rc = run("knot", "--input", str(DATA / "four_function.json"),
@@ -463,6 +502,15 @@ class TestKnot:
         with pytest.raises(SystemExit) as exc:
             run("knot", "--input", str(DATA / "cusp.json"), "--t", "0.05")
         assert exc.value.code == 2
+
+    def test_verify_radius_flag_refused(self, capsys):
+        # verify searches the disk its slice bounds; --radius belongs to
+        # double-points alone
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--input", str(DATA / "flat_plane.json"),
+                "--eta", "0.5", "--radius", "0.5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
 
 @settings(max_examples=30, deadline=None)

@@ -405,6 +405,34 @@ class TestVerify:
         assert exc.value.args[0] == rep.notes[-1]
         assert rep.notes[-1] == "2D = 0 differs from e - (N-1) = 2"
 
+    def test_searches_the_disk_the_slice_bounds(self):
+        # this T(5,9) member has four double points in the 0.05-ball, with
+        # preimages at |z| = 0.534-0.553: past a fixed search disk of
+        # radius 0.5, inside the disk the deformed slice bounds
+        w = torus_curve(5, 9)
+        p = bk.sample_generic(w, 0.005, 2)
+        deformed = bk.build_family_member(w, p).deformed
+        # the deformed slice is not isotopic to the base one (e_def = 12,
+        # e = 36), so the identity on e fails while it holds on e_def
+        with pytest.raises(FormulaViolation) as exc:
+            bk.verify_double_point_formula(w, p, 0.05)
+        rep = exc.value.report
+        assert rep.D == 4
+        e_def = bk.algebraic_crossing_number(
+            bk.braid_from_knot(bk.trace_slice(deformed, 0.05)))
+        assert e_def == 12
+        assert 2 * rep.D == e_def - (rep.N - 1)
+        # every double point in the ball that a search of the whole
+        # admissible disk finds is in the report, up to the pair swap
+        pairs = [(dp.z1, dp.z2) for dp in rep.double_points]
+        in_ball = [dp for dp in bk.find_double_points(deformed, 0.9, 48)
+                   if np.linalg.norm(dp.image) < 0.05]
+        assert len(in_ball) == 4
+        for dp in in_ball:
+            assert any(max(abs(dp.z1 - a), abs(dp.z2 - b)) <= 1e-9
+                       or max(abs(dp.z1 - b), abs(dp.z2 - a)) <= 1e-9
+                       for a, b in pairs)
+
 
 @st.composite
 def torus_curves(draw):
