@@ -12,7 +12,9 @@ differences Df = (f(z1) - f(z2))/d of the primitives, (F1 + i F2)(z1) -
 (F1 + i F2)(z2) = d G1 and (F3 + i F4)(z1) - (F3 + i F4)(z2) = d G2 for
 G = (Df1 + omega conj(Df2), Df3 + omega conj(Df4)).  Near the diagonal G
 tends to dF(e)/e along the direction e of d, not zero where F is
-immersed, so Newton on G cannot converge onto it.
+immersed, so Newton on G cannot converge onto it.  G is evaluated once
+per trial step, and each iteration's 4x4 systems are solved together as
+one structure-of-arrays batch.
 
 There is no compiled path; the False flag below stays only because
 benchmark records read it to name the kernel path that ran.
@@ -24,7 +26,7 @@ import logging
 
 import numpy as np
 
-from .weierstrass import WeierstrassData, jacobian
+from .weierstrass import WeierstrassData
 
 # read by the benchmark record's kernel_path field
 HAS_NUMBA = False
@@ -37,47 +39,58 @@ LINK_BLOCK = 16
 log = logging.getLogger(__name__)
 
 
-def _deflated(w: WeierstrassData, z1, z2, with_jacobian: bool):
-    """G at the pairs (z1, z2), shape (k, 2), and with_jacobian its real
-    Jacobian (k, 4, 4), else None: rows Re G1, Re G2, Im G1, Im G2 and
-    columns x1, y1, x2, y2.
+def _deflated(w: WeierstrassData, z1, z2):
+    """G at the pairs (z1, z2), shape (2, k).
 
     One joint Horner pass gives each Df: a Horner step P <- P z + c takes
-    Df to Df z1 + P(z2).  The Jacobian follows from d G = H, the map
-    difference F(z1) - F(z2) as two complex numbers: DG = (DH - G Dd)/d.
+    Df to Df z1 + P(z2).
     """
     C = np.zeros((4, max(p.coeffs.size for p in w.f)), np.complex128)
     for i, p in enumerate(w.f):
         C[i, :p.coeffs.size] = p.coeffs
-    q = p2 = np.zeros((4,) + z1.shape, np.complex128)
+    q, p2 = np.zeros((2, 4) + z1.shape, np.complex128)
     for c in C.T[::-1, :, None]:
-        q, p2 = q * z1 + p2, p2 * z2 + c
+        q *= z1
+        q += p2
+        p2 *= z2
+        p2 += c
     d = z1 - z2
-    G = (q[0::2] + np.conj(d) / d * np.conj(q[1::2])).T
-    if not with_jacobian:
-        return G, None
-    (fx1, fy1), (fx2, fy2) = jacobian(w, z1), jacobian(w, z2)
-    DH = np.stack([fx1, fy1, -fx2, -fy2], axis=-1)
-    DG = ((DH[:, 0::2] + 1j * DH[:, 1::2] - G[:, :, None] * [1, 1j, -1, -1j])
-          / d[:, None, None])
-    return G, np.concatenate([DG.real, DG.imag], axis=1)
+    return q[0::2] + np.conj(d) / d * np.conj(q[1::2])
+
+
+def _deflated_jacobian(w: WeierstrassData, z1, z2, G):
+    """The real Jacobian (4, 4, k) of G at the pairs (z1, z2), given G
+    there: rows Re G1, Re G2, Im G1, Im G2 and columns x1, y1, x2, y2.
+
+    From d G = H, the map difference F(z1) - F(z2) as two complex
+    numbers: DG = (DH - G Dd)/d, with the derivatives f' + conj(g') along
+    x and i (f' - conj(g')) along y of each pair f + conj(g) in DH.
+    """
+    fp = [np.array([p(z) for p in w.fprime]) for z in (z1, z2)]
+    s1, s2 = (f[0::2] + np.conj(f[1::2]) for f in fp)
+    t1, t2 = (f[0::2] - np.conj(f[1::2]) for f in fp)
+    DG = np.stack([s1 - G, 1j * (t1 - G), G - s2, 1j * (G - t2)], axis=1) / (z1 - z2)
+    return np.concatenate([DG.real, DG.imag])
 
 
 def _solve(J: np.ndarray, r: np.ndarray):
-    """x solving the 4x4 systems J x = r by one Gauss-Jordan elimination
-    with partial pivoting, and the mask of the x that mean anything: the
-    systems whose determinant, the product of the pivots, exceeds 1e-300."""
-    A = np.concatenate([J, r[:, :, None]], axis=2)
-    rows, det = np.arange(len(A)), np.ones(len(A))
+    """x solving the 4x4 systems J x = r, J (4, 4, k) and r (4, k), by one
+    Gauss-Jordan elimination with partial pivoting on a (4, 5, k) array,
+    with rows exchanged by selection, and the determinants, the products
+    of the pivots (a zero pivot then becomes 1, so x stays finite)."""
+    A = np.concatenate([J, r[:, None]], axis=1)
+    det = np.ones(A.shape[2])
     for c in range(4):
-        p = c + np.argmax(np.abs(A[:, c:, c]), axis=1)
-        A[rows, c], A[rows, p] = A[rows, p], A[rows, c]
-        det *= np.where(p == c, 1.0, -1.0) * A[:, c, c]
-        A[A[:, c, c] == 0.0, c, c] = 1.0
-        m = A[:, :, c] / A[:, c, None, c]
-        m[:, c] = 0.0
-        A -= m[:, :, None] * A[:, c, None, :]
-    return A[:, :, 4] / np.diagonal(A, axis1=1, axis2=2), np.abs(det) > 1e-300
+        p = c + np.argmax(np.abs(A[c:, c]), axis=0)
+        for i in range(c + 1, 4):
+            swap = p == i
+            A[c], A[i] = np.where(swap, A[i], A[c]), np.where(swap, A[c], A[i])
+        det *= np.where(p == c, 1.0, -1.0) * A[c, c]
+        A[c, c] = np.where(A[c, c] == 0.0, 1.0, A[c, c])
+        m = A[:, c] / A[c, c]
+        m[c] = 0.0
+        A -= m[:, None] * A[c]
+    return A[:, 4] / np.diagonal(A, axis1=0, axis2=1).T, det
 
 
 def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
@@ -86,46 +99,51 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
     (as |d| |G|, without the cancellation of subtracting map values) and
     the mask of the seeds that reached tol.
 
-    Each iteration factorises the batch of Jacobians once.  A seed stops
-    where it is, with ok False, when its Jacobian is singular, when its
-    step would leave the unit disk (outside it branch_points does not
-    look, and the polynomials overflow), or when 9 halvings of the step
-    do not keep |G| from rising.  A DEBUG line counts each reason.
+    G is evaluated at the seeds and then once per trial step; each
+    iteration factorises the batch of Jacobians once.  A seed stops where
+    it is, with ok False, when its Jacobian is singular, when its step
+    would leave the unit disk (outside it branch_points does not look,
+    and the polynomials overflow), or when 9 halvings of the step do not
+    keep |G| from rising.  A DEBUG line counts each reason.
     """
     z1 = np.array(z1, np.complex128)
     z2 = np.array(z2, np.complex128)
     n = z1.size
     ok = np.zeros(n, bool)
     alive = np.ones(n, bool)
-    gnorm = np.zeros(n)
+    G = _deflated(w, z1, z2)
+    gnorm = np.linalg.norm(G, axis=0)
     n_off = n_stall = n_sing = 0
     for _ in range(max_iter):
         idx = np.nonzero(alive & ~ok)[0]
         if idx.size == 0:
             break
-        G, J = _deflated(w, z1[idx], z2[idx], True)
-        cur = gnorm[idx] = np.linalg.norm(G, axis=1)
-        delta, good = _solve(J, -np.hstack([G.real, G.imag]))
-        d1, d2 = (delta[:, 0::2] + 1j * delta[:, 1::2]).T
+        Gi = G[:, idx]
+        J = _deflated_jacobian(w, z1[idx], z2[idx], Gi)
+        delta, det = _solve(J, -np.concatenate([Gi.real, Gi.imag]))
+        good = np.abs(det) > 1e-300
+        d1, d2 = delta[0] + 1j * delta[1], delta[2] + 1j * delta[3]
         keep = good & (np.abs(z1[idx] + d1) <= 1.0) & (np.abs(z2[idx] + d2) <= 1.0)
         n_sing += int((~good).sum())
         n_off += int((good & ~keep).sum())
         alive[idx[~keep]] = False
-        idx, cur, d1, d2 = idx[keep], cur[keep], d1[keep], d2[keep]
+        idx, d1, d2 = idx[keep], d1[keep], d2[keep]
         # damped update: halve the step until |G| does not rise, at most
         # 9 times; the disk is convex, so every trial stays in it
         todo = np.arange(idx.size)
         for half in range(10):
-            n1 = z1[idx[todo]] + 0.5 ** half * d1[todo]
-            n2 = z2[idx[todo]] + 0.5 ** half * d2[todo]
-            new = np.linalg.norm(_deflated(w, n1, n2, False)[0], axis=1)
-            done = new <= cur[todo]
-            k = idx[todo[done]]
-            z1[k], z2[k], gnorm[k] = n1[done], n2[done], new[done]
-            ok[k] = np.abs(n1[done] - n2[done]) * new[done] <= tol
-            todo = todo[~done]
             if todo.size == 0:
                 break
+            n1 = z1[idx[todo]] + 0.5 ** half * d1[todo]
+            n2 = z2[idx[todo]] + 0.5 ** half * d2[todo]
+            trial = _deflated(w, n1, n2)
+            new = np.linalg.norm(trial, axis=0)
+            done = new <= gnorm[idx[todo]]
+            k = idx[todo[done]]
+            z1[k], z2[k], gnorm[k] = n1[done], n2[done], new[done]
+            G[:, k] = trial[:, done]
+            ok[k] = np.abs(n1[done] - n2[done]) * new[done] <= tol
+            todo = todo[~done]
         n_stall += todo.size
         alive[idx[todo]] = False
     log.debug("newton: %d seeds, %d stopped off the disk, %d stalled, "

@@ -216,7 +216,9 @@ def cmd_knot(args) -> int:
         json.dumps(b.to_json_dict(), indent=2, sort_keys=True) + "\n")
     _dump(report, out_dir / "knot_report.json", args.json)
     if not args.json:
-        print(f"winding={b.n_strands} e={e} gauss={lk:.3f}", file=sys.stderr)
+        # a rounding residue below 0.0005 prints as 0.000, without a sign
+        gauss = lk if abs(lk) >= 0.0005 else 0.0
+        print(f"winding={b.n_strands} e={e} gauss={gauss:.3f}", file=sys.stderr)
     return 0
 
 
@@ -233,18 +235,24 @@ def cmd_verify(args) -> int:
         report = knot.verify_double_point_formula(w, p, args.eta,
                                                   grid_n=args.grid_n)
     except FormulaViolation as exc:
+        # a violating report is written and printed like a passing one
         if exc.report is not None:
             r = exc.report
             print(f"D={r.D} e={r.e} N={r.N} VIOLATION: {exc.args[0]}")
+            _write_verify_report(r, args)
         raise
     print(f"D={report.D} e={report.e} N={report.N} sl={report.sl} OK")
+    _write_verify_report(report, args)
+    return 0
+
+
+def _write_verify_report(report, args) -> None:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _dump(report.to_json_dict(), out_dir / "verify.json", args.json)
     elif args.json:
         _dump(report.to_json_dict(), None, True)
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ radius eta in a closed curve; rescaled to the unit 3-sphere it is a knot
 braided around the great circle {x1 = x2 = 0}, with one strand per local
 sheet.  Since |F| ~ |z|^N near the branch point, the curve's preimage in
 the parameter disk meets each ray from 0 once; this module finds it on
-2048 rays at once, presents the knot as a braid over the fiber angle
+2048 rays at once (a radius scan, then safeguarded Newton steps within
+each ray's bracket), presents the knot as a braid over the fiber angle
 arg(x1 + i x2), and computes the signed crossing count two independent
 ways: directly from the braid diagram, whose strands are evaluated at
 the fiber angles of the samples themselves, so the count is exact for
@@ -29,6 +30,7 @@ from the base slice and checks the perturbed slice's crossing sum.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -46,13 +48,15 @@ from .errors import (
     TraceFailure,
 )
 from .intersect import _MAX_RADIUS, find_double_points
-from .weierstrass import WeierstrassData, branch_points, evaluate_F, jacobian
+from .weierstrass import WeierstrassData, _complex_F, branch_points, evaluate_F
 
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "algebraic_crossing_number",
            "linking_number_gauss", "self_linking",
            "contact_transversality_margin", "select_eta",
            "verify_double_point_formula", "VerifyReport"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,23 @@ class BraidDiagram:
 _LOOP_SAMPLES = 2048
 # radii of the scan that brackets the crossing on every ray
 _SCAN_RADII = np.linspace(1e-6, 0.95, 64)
+# at most _BISECTIONS Newton passes; a ray settles once its last step is at
+# most _SETTLED_ULPS ulps of its radius (a 1-ulp rule can step forever)
 _BISECTIONS = 60
+_SETTLED_ULPS = 4
+
+
+def _norm2(a, b):
+    """|F|^2 from the complex pair (F1 + i F2, F3 + i F4)."""
+    return (a * np.conj(a) + b * np.conj(b)).real
+
+
+def _radial(w: WeierstrassData, z, u):
+    """The complex pair of F at z, |F|^2 and d|F|^2/dr along the unit u."""
+    a, b = _complex_F(w, z)
+    d = [p(z) * u for p in w.fprime]
+    dr = np.conj(a) * (d[0] + np.conj(d[1])) + np.conj(b) * (d[2] + np.conj(d[3]))
+    return a, b, _norm2(a, b), 2.0 * dr.real
 
 
 def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
@@ -119,12 +139,16 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
 
     Near a branch point |F| ~ |z|^N, so the slice meets each ray from the
     origin once.  Each ray is scanned on the _SCAN_RADII grid, one radius
-    at a time over all rays, and its bracket is refined by at most
-    _BISECTIONS array bisection steps, which stop once every bracket is
-    two adjacent floats; the samples are F(z)/|F(z)| at the roots, in
-    counterclockwise order of their rays.  The radial-graph property is
-    certified on every ray: the scan starts below eta, crosses it once
-    and never comes back below it, and d|F|^2/dr > 0 at the root.
+    at a time over all rays, and its root is refined by safeguarded Newton
+    passes on |F|^2 - eta^2 from the middle of its bracket, all rays at
+    once: each pass shrinks every bracket, and a Newton step that leaves
+    its bracket is replaced by bisection.  The passes stop once every ray
+    has settled, or after _BISECTIONS; a DEBUG line counts them, the rays
+    ever bisected and the largest last step.  The samples are F(z)/|F(z)|
+    at the roots, in counterclockwise order of their rays.  The
+    radial-graph property is certified on every ray: the scan starts below
+    eta, crosses it once and never comes back below it, and d|F|^2/dr > 0
+    at the root, the derivative the Newton steps take.
 
     Raises ValueError unless eta is finite and > 0, BranchOnSlice if a
     branch value sits near the slicing sphere, and TraceFailure if some
@@ -137,15 +161,16 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
         if abs(np.linalg.norm(evaluate_F(w, bp)) - eta) < 0.05 * eta:
             raise BranchOnSlice(f"branch value within 5% of the sphere at z={bp}")
 
+    eta2 = eta * eta
     dirs = np.exp(2j * math.pi * np.arange(_LOOP_SAMPLES) / _LOOP_SAMPLES)
     crossed = np.zeros(_LOOP_SAMPLES, bool)
     back = np.zeros(_LOOP_SAMPLES, bool)
-    hi = np.zeros(_LOOP_SAMPLES, int)
+    first = np.zeros(_LOOP_SAMPLES, int)
     for j, r in enumerate(_SCAN_RADII):
-        above = np.linalg.norm(evaluate_F(w, r * dirs), axis=1) >= eta
+        above = _norm2(*_complex_F(w, r * dirs)) >= eta2
         if j == 0 and above.any():
             raise TraceFailure(f"|F| >= {eta} at the start of the ray scan")
-        hi[above & ~crossed] = j
+        first[above & ~crossed] = j
         back |= crossed & ~above
         crossed |= above
     if not crossed.all():
@@ -155,23 +180,29 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
                            f"at angle {np.angle(dirs[np.argmax(back)]):.4f} "
                            "crosses it more than once")
 
-    a, b = _SCAN_RADII[hi - 1], _SCAN_RADII[hi]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (a + b)
-        # every bracket is two adjacent floats: later steps change nothing
-        if np.all((mid == a) | (mid == b)):
+    lo, hi = _SCAN_RADII[first - 1], _SCAN_RADII[first]
+    r, bisected = 0.5 * (lo + hi), np.zeros(_LOOP_SAMPLES, bool)
+    for passes in range(1, _BISECTIONS + 1):
+        _, _, g, slope = _radial(w, r * dirs, dirs)
+        lo, hi = np.where(g < eta2, r, lo), np.where(g < eta2, hi, r)
+        # a zero or NaN slope makes a step that is not in the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = r - (g - eta2) / slope
+        inside = (lo <= newton) & (newton <= hi)
+        bisected |= ~inside
+        last, r = r, np.where(inside, newton, 0.5 * (lo + hi))
+        ulps = np.abs(r - last) / np.spacing(r)
+        if np.all(ulps <= _SETTLED_ULPS):
             break
-        inside = np.linalg.norm(evaluate_F(w, mid * dirs), axis=1) < eta
-        a = np.where(inside, mid, a)
-        b = np.where(inside, b, mid)
-    pre = 0.5 * (a + b) * dirs
-    F = evaluate_F(w, pre)
-    fx, fy = jacobian(w, pre)
-    slope = np.einsum("ij,ij->i", F, dirs.real[:, None] * fx + dirs.imag[:, None] * fy)
+    log.debug("trace at eta %r: %d rays, %d Newton passes, %d rays bisected, "
+              "largest last step %.2g ulps", eta, _LOOP_SAMPLES, passes,
+              int(bisected.sum()), ulps.max())
+    pre = r * dirs
+    a, b, g, slope = _radial(w, pre, dirs)
     if not np.all(slope > 0):
         raise TraceFailure(f"level set |F| = {eta} is not a radial graph: "
                            "d|F|/dr <= 0 at a root")
-    samples = F / np.linalg.norm(F, axis=1, keepdims=True)
+    samples = np.stack([a.real, a.imag, b.real, b.imag], axis=1) / np.sqrt(g)[:, None]
     return KnotCurve(samples=samples, preimages=pre, eta=eta)
 
 
@@ -542,7 +573,9 @@ def verify_double_point_formula(w_base: WeierstrassData,
     if b.n_strands != N:
         violation = f"slice winding {b.n_strands} != N = {N}"
     elif abs(lk - round(lk)) > 1e-6 or int(round(lk)) != e:
-        violation = f"crossing-count routes disagree: braid {e}, gauss {lk:.3f}"
+        # a residue below 0.0005 prints as 0.000, without a sign
+        gauss = lk if abs(lk) >= 0.0005 else 0.0
+        violation = f"crossing-count routes disagree: braid {e}, gauss {gauss:.3f}"
     elif not report.identity_ok:
         violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
     elif p is not None:

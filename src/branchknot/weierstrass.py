@@ -131,10 +131,14 @@ def load(fprime, conf_tol: float = 1e-10) -> WeierstrassData:
 # Pointwise evaluation
 # ---------------------------------------------------------------------------
 
+def _complex_F(w: WeierstrassData, z):
+    """The map value as the complex pair (F1 + i F2, F3 + i F4)."""
+    return w.f[0](z) + np.conj(w.f[1](z)), w.f[2](z) + np.conj(w.f[3](z))
+
+
 def evaluate_F(w: WeierstrassData, z) -> np.ndarray:
     """Map value in R^4; vectorized over arrays of z (last axis = 4)."""
-    a = w.f[0](z) + np.conj(w.f[1](z))
-    b = w.f[2](z) + np.conj(w.f[3](z))
+    a, b = _complex_F(w, z)
     return np.stack([np.real(a), np.imag(a), np.real(b), np.imag(b)], axis=-1)
 
 

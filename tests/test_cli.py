@@ -437,13 +437,20 @@ class TestKnot:
         braid = json.loads((tmp_path / "braid.json").read_text())
         assert braid["n_strands"] == 2
 
-    def test_flat_single_strand(self, tmp_path, capsys):
-        rc = run("knot", "--input", str(DATA / "flat_plane.json"),
-                 "--eta", "0.5", "--out-dir", str(tmp_path))
+    def test_flat_single_strand(self, tmp_path, capsys, monkeypatch):
+        argv = ["knot", "--input", str(DATA / "flat_plane.json"),
+                "--eta", "0.5", "--out-dir", str(tmp_path)]
+        rc = run(*argv)
         assert rc == 0
         report = json.loads((tmp_path / "knot_report.json").read_text())
         assert report["n_strands"] == 1
         assert report["crossing_sum"] == 0
+        assert capsys.readouterr().err == "winding=1 e=0 gauss=0.000\n"
+        # the Gauss sum of an unknot is a rounding residue of either sign,
+        # and a negative one prints without its sign as well
+        monkeypatch.setattr(knot, "linking_number_gauss", lambda k: -4e-17)
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == "winding=1 e=0 gauss=0.000\n"
 
     def test_non_monotone_exit_code(self, tmp_path, capsys):
         rc = run("knot", "--input", str(DATA / "mixed_strong.json"),
@@ -574,6 +581,25 @@ class TestVerify:
         assert captured.out == ("D=0 e=3 N=2 VIOLATION: 2D = 0 differs "
                                 "from e - (N-1) = 2\n")
         assert "FormulaViolation" in captured.err
+
+    def test_violation_report_is_written(self, tmp_path, capsys):
+        # the report of a violating run goes to verify.json and, with
+        # --json, to stdout after the summary line; exit code and stderr
+        # are those of any violation
+        violation = "2D = 0 differs from e - (N-1) = 4"
+        rc = run("verify", "--input", str(DATA / "torus5.json"), "--t", "0.005",
+                 "--seed", "1", "--eta", "0.01", "--out-dir", str(tmp_path),
+                 "--json")
+        assert rc == 4
+        captured = capsys.readouterr()
+        line, _, printed = captured.out.partition("\n")
+        assert line == f"D=0 e=5 N=2 VIOLATION: {violation}"
+        assert captured.err == f"FormulaViolation: {violation}\n"
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert json.loads(printed) == report
+        assert report["identity_ok"] is False
+        assert report["D_total"] == 0
+        assert report["notes"][-1] == violation
 
     @pytest.mark.parametrize("argv, traces", [
         (["--input", str(DATA / "flat_plane.json")], 1),

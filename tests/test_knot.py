@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -127,24 +128,73 @@ class TestTraceSlice:
 
     @pytest.mark.parametrize("p, q", [(2, 3), (3, 4)])
     def test_bisection_stops_at_its_fixed_point(self, p, q, monkeypatch):
-        # once every bracket is two adjacent floats the loop ends: a larger
-        # step budget evaluates F no more often and moves no preimage, so
-        # the default budget reaches that point
+        # the safeguarded Newton passes end once every ray has settled: a
+        # slice takes at most the 64 scan passes, 12 Newton passes and one
+        # at the roots, and a larger step budget evaluates F no more often
+        # and moves no preimage
         w = torus_curve(p, q)
         calls = []
-        real = knot_module.evaluate_F
+        real = knot_module._complex_F
 
         def spy(w, z):
             calls.append(1)
             return real(w, z)
 
-        monkeypatch.setattr(knot_module, "evaluate_F", spy)
+        monkeypatch.setattr(knot_module, "_complex_F", spy)
         k = bk.trace_slice(w, 0.05)
         n_default = len(calls)
+        assert n_default <= 64 + 12 + 1
         monkeypatch.setattr(knot_module, "_BISECTIONS", 200)
         calls.clear()
         assert np.array_equal(bk.trace_slice(w, 0.05).preimages, k.preimages)
         assert len(calls) == n_default
+
+    @pytest.mark.parametrize("stem", ["cusp", "T(3,4)", "mixed_strong",
+                                      "flat_plane"])
+    @pytest.mark.parametrize("eta", [0.1, 0.05])
+    def test_newton_roots_match_bisection(self, stem, eta):
+        # every preimage lies within 4 ulps of the root that bisection to
+        # adjacent floats finds, and the reference's slice braids the same
+        w = (torus_curve(3, 4) if stem == "T(3,4)" else
+             WeierstrassData.from_json_dict(
+                 json.loads((DATA / f"{stem}.json").read_text())))
+        k = bk.trace_slice(w, eta)
+        r, dirs = _bisection_roots(w, eta)
+        assert (np.abs(k.preimages - r * dirs) <= 4 * np.spacing(r)).all()
+        F = bk.evaluate_F(w, r * dirs)
+        ref = KnotCurve(samples=F / np.linalg.norm(F, axis=1, keepdims=True),
+                        preimages=r * dirs, eta=eta)
+        b, b_ref = bk.braid_from_knot(k), bk.braid_from_knot(ref)
+        assert b.n_strands == b_ref.n_strands == w.N
+        assert (bk.algebraic_crossing_number(b)
+                == bk.algebraic_crossing_number(b_ref))
+
+    def test_trace_funnel_logged(self, cusp, caplog):
+        with caplog.at_level(logging.DEBUG, logger="branchknot.knot"):
+            bk.trace_slice(cusp, 1e-2)
+        (rec,) = [r for r in caplog.records if r.name == knot_module.__name__]
+        for stage in ("rays", "Newton passes", "rays bisected",
+                      "largest last step"):
+            assert stage in rec.getMessage()
+        eta, rays, passes, bisected, ulps = rec.args
+        assert (eta, rays) == (1e-2, 2048)
+        assert 1 <= passes <= 12 and bisected == 0 and ulps <= 4
+
+
+def _bisection_roots(w, eta):
+    """The roots of the scan's brackets by bisection on |F| < eta until
+    every bracket is two adjacent floats (60 steps get there from the
+    scan's spacing), and the rays."""
+    dirs = np.exp(2j * np.pi * np.arange(2048) / 2048)
+    radii = knot_module._SCAN_RADII
+    hi = np.argmax([np.linalg.norm(bk.evaluate_F(w, r * dirs), axis=1) >= eta
+                    for r in radii], axis=0)
+    a, b = radii[hi - 1], radii[hi]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        inside = np.linalg.norm(bk.evaluate_F(w, mid * dirs), axis=1) < eta
+        a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+    return 0.5 * (a + b), dirs
 
 
 class TestBraid:
