@@ -29,6 +29,7 @@ from .knot import (
     VerifyReport,
     algebraic_crossing_number,
     braid_from_knot,
+    check_crossing_routes,
     contact_transversality_margin,
     linking_number_gauss,
     select_eta,

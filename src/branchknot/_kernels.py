@@ -31,6 +31,10 @@ from .weierstrass import WeierstrassData
 # read by the benchmark record's kernel_path field
 HAS_NUMBA = False
 
+# a seed converges at a residual |F(z1) - F(z2)| <= _NEWTON_TOL, in at
+# most _MAX_ITER Newton steps
+_NEWTON_TOL, _MAX_ITER = 1e-12, 50
+
 # rows of P per block of the linking sum: 16 rows of a 2048-point Q (the
 # largest polygon knot.linking_number_gauss passes) keep the working set
 # near 4 MB
@@ -93,11 +97,11 @@ def _solve(J: np.ndarray, r: np.ndarray):
     return A[:, 4] / np.diagonal(A, axis1=0, axis2=1).T, det
 
 
-def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
+def newton_double_points(z1, z2, w: WeierstrassData):
     """Damped Newton on G = 0 from each seed pair (z1[k], z2[k]) of
     distinct points: the final pairs, their residuals |F(z1) - F(z2)|
     (as |d| |G|, without the cancellation of subtracting map values) and
-    the mask of the seeds that reached tol.
+    the mask of the seeds that reached _NEWTON_TOL within _MAX_ITER steps.
 
     G is evaluated at the seeds and then once per trial step; each
     iteration factorises the batch of Jacobians once.  A seed stops where
@@ -114,7 +118,7 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
     G = _deflated(w, z1, z2)
     gnorm = np.linalg.norm(G, axis=0)
     n_off = n_stall = n_sing = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         idx = np.nonzero(alive & ~ok)[0]
         if idx.size == 0:
             break
@@ -142,7 +146,7 @@ def newton_double_points(z1, z2, w: WeierstrassData, tol: float, max_iter: int):
             k = idx[todo[done]]
             z1[k], z2[k], gnorm[k] = n1[done], n2[done], new[done]
             G[:, k] = trial[:, done]
-            ok[k] = np.abs(n1[done] - n2[done]) * new[done] <= tol
+            ok[k] = np.abs(n1[done] - n2[done]) * new[done] <= _NEWTON_TOL
             todo = todo[~done]
         n_stall += todo.size
         alive[idx[todo]] = False

@@ -12,14 +12,18 @@ The numerical tolerances are constants of their modules; the input's
 conf_tol (default 1e-10) is the one a user sets.  Double-point seeds
 are all pairs of a disk grid grid-n // 4 points across.
 
-Exit codes: 0 success, 2 input validation failure (a file that cannot
-be read or written, a document that is not a JSON object or lacks a key,
-a tangent plane or Gauss map asked for at a branch point, a grid-n below
-28, a double-points radius outside (0, 0.9], a verify slice past
-|z| = 0.9, and an input conf_tol or slice radius eta that is not finite
-and positive included), 3 sampling exhausted (a scale t that is not
-finite and positive included), 4 identity violation, 5 slicing/braiding
-failure, 6 the two Gauss-map routes disagree.
+Exit codes: 0 success; each failure class in branchknot.errors declares
+its own as exit_code, directly or through its group:
+  2  input validation failure (InputError, ValueError, OSError): a file that
+     cannot be read or written, a document that is not a JSON object or
+     lacks a key, a tangent plane or Gauss map asked for at a branch point,
+     a grid-n below 28, a double-points radius outside (0, 0.9], a verify
+     slice past |z| = 0.9, and a conf_tol or eta not finite and > 0 included
+  3  sampling exhausted (SamplingExhausted; a t not finite and > 0 included)
+  4  identity violation (FormulaViolation)
+  5  slicing/braiding failure (SliceFailure; crossing-count routes that
+     disagree, CrossingRoutesDisagree, included)
+  6  the two Gauss-map routes disagree (GaussCrossCheckFailure)
 """
 
 from __future__ import annotations
@@ -34,39 +38,13 @@ import numpy as np
 
 from . import deformation, intersect, knot
 from .errors import (
-    BranchOnSlice,
-    BranchPointInRegion,
-    ConformalityViolation,
-    DegeneratePlane,
+    BranchknotError,
     FormulaViolation,
-    GaussCrossCheckFailure,
     IndeterminateGauss,
-    NonMonotoneFiberAngle,
-    OrderMismatch,
-    OrderViolation,
-    ProjectionPoleOnCurve,
-    PushoffCollision,
+    InputError,
     SamplingExhausted,
-    TraceFailure,
 )
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, symplectic_positivity
-
-_EXIT_VALIDATION = 2
-_EXIT_SAMPLING = 3
-_EXIT_FORMULA = 4
-_EXIT_TRACE = 5
-_EXIT_CROSS_CHECK = 6
-
-_ERROR_CODES = [
-    ((ConformalityViolation, OrderMismatch, OrderViolation,
-      BranchPointInRegion, IndeterminateGauss, DegeneratePlane,
-      ValueError, OSError), _EXIT_VALIDATION),
-    ((SamplingExhausted,), _EXIT_SAMPLING),
-    ((FormulaViolation,), _EXIT_FORMULA),
-    ((TraceFailure, BranchOnSlice, NonMonotoneFiberAngle,
-      PushoffCollision, ProjectionPoleOnCurve), _EXIT_TRACE),
-    ((GaussCrossCheckFailure,), _EXIT_CROSS_CHECK),
-]
 
 
 def _dump(obj, path: Path | None, as_json: bool):
@@ -198,6 +176,7 @@ def cmd_knot(args) -> int:
     b = knot.braid_from_knot(k)
     e = knot.algebraic_crossing_number(b)
     lk = knot.linking_number_gauss(k)
+    knot.check_crossing_routes(e, lk)
     report = {
         "eta": k.eta,
         "n_strands": b.n_strands,
@@ -316,15 +295,12 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
-    except Exception as exc:
-        for classes, code in _ERROR_CODES:
-            if isinstance(exc, classes):
-                # an OSError's args[0] is its errno; its str names the file
-                msg = (exc.args[0] if exc.args and not isinstance(exc, OSError)
-                       else exc)
-                print(f"{type(exc).__name__}: {msg}", file=sys.stderr)
-                return code
-        raise
+    except (BranchknotError, ValueError, OSError) as exc:
+        # an OSError's args[0] is its errno; its str names the file
+        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
+        print(f"{type(exc).__name__}: {msg}", file=sys.stderr)
+        # a ValueError or OSError is an input failure
+        return getattr(exc, "exit_code", InputError.exit_code)
 
 
 if __name__ == "__main__":

@@ -103,12 +103,6 @@ class CPoly:
         out[: b.size] += b
         return CPoly(out)
 
-    def __neg__(self) -> "CPoly":
-        return CPoly(-self.coeffs)
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, CPoly):
             if self.is_zero or other.is_zero:
@@ -147,16 +141,11 @@ class CPoly:
 
     # ---- structure ---------------------------------------------------------
 
-    def valuation(self, tol: float | None = None):
-        """Smallest k with |coeffs[k]| > tol, or math.inf if none.
-
-        tol defaults to 1e-10 relative to the largest coefficient magnitude;
-        the underlying theory assumes exact vanishing orders, so floating
-        data needs an explicit cutoff.
-        """
-        if tol is None:
-            tol = 1e-10 * self.max_abs_coeff()
-        idx = np.nonzero(np.abs(self.coeffs) > tol)[0]
+    def valuation(self):
+        """Smallest k with |coeffs[k]| > 1e-10 max |coeffs|, or math.inf if
+        none: the theory assumes exact vanishing orders, floating data need
+        a cutoff."""
+        idx = np.nonzero(np.abs(self.coeffs) > 1e-10 * self.max_abs_coeff())[0]
         return int(idx[0]) if idx.size else math.inf
 
     def shift_down(self, k: int) -> "CPoly":

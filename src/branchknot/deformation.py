@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpoly import CPoly, complex_pairs
-from .errors import OrderViolation, SamplingExhausted
+from .errors import SamplingExhausted
 from .intersect import find_double_points, is_transverse
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, load
 
@@ -192,11 +192,9 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
         # the shifted factors multiply the zero components g2 = g4 = 0
         eb = ea = 0
     else:
+        # n1 is the least order and n1 + n2 = n3 + n4, so eb = ea >= 0
         eb, ea = n[1] - n[ib], n[ia] - n[0]
-        if eb < 0 or ea < 0:
-            raise OrderViolation(f"shift exponents negative: n2-n{ib + 1}={eb}, "
-                                 f"n{ia + 1}-n1={ea}")
-        if eb == 0 or ea == 0:
+        if eb == 0:
             warnings.warn("shift exponent is zero; the quadratic lower bound "
                           "for the pair-separation determinant is not "
                           "guaranteed", stacklevel=2)

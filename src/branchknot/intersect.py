@@ -28,10 +28,9 @@ __all__ = ["DoublePoint", "find_double_points", "is_transverse",
 
 log = logging.getLogger(__name__)
 
-# find_double_points: Newton stops below a residual of _NEWTON_TOL, a
-# converged pair closer than _PAIR_SEP_TOL is on the diagonal, and pairs
-# within _DEDUP_TOL are one double point; a search radius is <= _MAX_RADIUS
-_NEWTON_TOL = 1e-12
+# find_double_points: a converged pair closer than _PAIR_SEP_TOL is on the
+# diagonal, and pairs within _DEDUP_TOL are one double point; a search
+# radius is <= _MAX_RADIUS
 _PAIR_SEP_TOL = 1e-5
 _DEDUP_TOL = 1e-6
 _MAX_RADIUS = 0.9
@@ -99,9 +98,7 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
 
     pts = _disk_grid(radius, grid_n // 4)
     i, j = np.triu_indices(pts.size, 1)
-    # at most 50 damped Newton steps per seed
-    z1, z2, resid, ok = _kernels.newton_double_points(
-        pts[i], pts[j], w, _NEWTON_TOL, 50)
+    z1, z2, resid, ok = _kernels.newton_double_points(pts[i], pts[j], w)
 
     keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
             & (np.abs(z1 - z2) >= _PAIR_SEP_TOL))

@@ -41,10 +41,12 @@ from . import _kernels
 from .deformation import PerturbParams, build_family_member
 from .errors import (
     BranchOnSlice,
+    CrossingRoutesDisagree,
     FormulaViolation,
     NonMonotoneFiberAngle,
     ProjectionPoleOnCurve,
     PushoffCollision,
+    SliceFailure,
     TraceFailure,
 )
 from .intersect import _MAX_RADIUS, find_double_points
@@ -52,7 +54,7 @@ from .weierstrass import WeierstrassData, _complex_F, branch_points, evaluate_F
 
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "algebraic_crossing_number",
-           "linking_number_gauss", "self_linking",
+           "linking_number_gauss", "check_crossing_routes", "self_linking",
            "contact_transversality_margin", "select_eta",
            "verify_double_point_formula", "VerifyReport"]
 
@@ -84,10 +86,7 @@ class KnotCurve:
                                 self.preimages.real, self.preimages.imag])
         row = "%.12g" + ",%.15g" * 6 + "\r\n"
         fh.write("theta,x1,x2,x3,x4,z_re,z_im\r\n")
-        # one format call per block of rows keeps the text in memory small
-        for i in range(0, len(cols), 256):
-            block = cols[i:i + 256]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        fh.write(row * len(cols) % tuple(cols.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class BraidDiagram:
     """Strand count and crossings of the slice's braid.
 
     Each crossing is (theta, strand_i, strand_j, sign), sorted by the fiber
-    angle theta in [0, 2 pi).
+    angle theta in [0, 2 pi); angles equal to within 1e-12 are sorted by
+    the strand pair (i, j).
     """
 
     n_strands: int
@@ -273,12 +273,25 @@ def braid_from_knot(k: KnotCurve) -> BraidDiagram:
                               % (2.0 * math.pi))
                 crossings.append((theta, a, b, sign))
     crossings.sort(key=lambda t: t[0])
+    # angles equal to within 1e-12 (symmetric slices) go in strand-pair order
+    group = np.cumsum(np.diff([t[0] for t in crossings], prepend=-math.inf) > 1e-12)
+    crossings = [c for _, c in sorted(zip(group, crossings),
+                                      key=lambda gc: (gc[0], gc[1][1:3]))]
     return BraidDiagram(n_strands=n, crossings=tuple(crossings))
 
 
 def algebraic_crossing_number(b: BraidDiagram) -> int:
     """Signed crossing sum of the braid diagram."""
     return int(sum(c[3] for c in b.crossings))
+
+
+def check_crossing_routes(e: int, lk: float) -> None:
+    """Raise CrossingRoutesDisagree unless the Gauss linking sum lk is
+    within 1e-6 of the braid's crossing sum e."""
+    if not abs(lk - e) <= 1e-6:
+        gauss = 0.0 if abs(lk) < 0.0005 else lk  # no sign on a residue
+        raise CrossingRoutesDisagree(
+            f"crossing-count routes disagree: braid {e}, gauss {gauss:.3f}")
 
 
 def self_linking(e: int, N: int) -> int:
@@ -462,10 +475,11 @@ _ETA_MIN = 1e-5
 def select_eta(w: WeierstrassData) -> KnotCurve:
     """Scan eta downward by halving until the slice braids on N strands.
 
-    Accepts the first eta from _ETA_START where the fiber angle is
-    monotone along the slice and its winding is N, and returns that slice;
-    its `eta` is the accepted radius.  When no radius down to _ETA_MIN is
-    accepted, the TraceFailure names every eta tried and what rejected it.
+    Accepts the first eta from _ETA_START where the slice is traced, its
+    fiber angle is monotone and its winding is N, and returns that slice;
+    its `eta` is the accepted radius.  Any SliceFailure rejects an eta.
+    When no radius down to _ETA_MIN is accepted, the TraceFailure names
+    every eta tried and what rejected it.
     """
     rejected = []
     eta = _ETA_START
@@ -476,7 +490,7 @@ def select_eta(w: WeierstrassData) -> KnotCurve:
             if n == w.N:
                 return k
             rejected.append(f"{eta!r} (winding {n} != N = {w.N})")
-        except (TraceFailure, NonMonotoneFiberAngle, BranchOnSlice) as exc:
+        except SliceFailure as exc:
             rejected.append(f"{eta!r} ({type(exc).__name__})")
         eta *= 0.5
     raise TraceFailure(f"no workable slice radius found above {_ETA_MIN}; "
@@ -534,11 +548,12 @@ def verify_double_point_formula(w_base: WeierstrassData,
     perturbed slice at that eta; the search of the disk that slice bounds,
     D counting the double points imaged in the eta-ball; and the judge.
 
-    Raises ValueError when the search disk passes |z| = 0.9, and
+    Raises ValueError when the search disk passes |z| = 0.9,
+    CrossingRoutesDisagree (check_crossing_routes) when the base slice
+    braids on N strands but the two crossing-count routes disagree, and
     FormulaViolation (with the report attached, the message as its last
-    note) when the identity fails, when the two crossing-count routes
-    disagree (the Gauss sum is not within 1e-6 of the braid's integer),
-    or when the perturbed slice changes its crossing sum.
+    note) when the winding is not N, when the identity fails, or when the
+    perturbed slice changes its crossing sum.
     """
     base = deformed = w_base
     if p is not None:
@@ -572,17 +587,15 @@ def verify_double_point_formula(w_base: WeierstrassData,
     violation = None
     if b.n_strands != N:
         violation = f"slice winding {b.n_strands} != N = {N}"
-    elif abs(lk - round(lk)) > 1e-6 or int(round(lk)) != e:
-        # a residue below 0.0005 prints as 0.000, without a sign
-        gauss = lk if abs(lk) >= 0.0005 else 0.0
-        violation = f"crossing-count routes disagree: braid {e}, gauss {gauss:.3f}"
-    elif not report.identity_ok:
-        violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
-    elif p is not None:
-        report.e_deformed = algebraic_crossing_number(braid_from_knot(k_def))
-        report.isotopy_ok = (report.e_deformed == e)
-        if not report.isotopy_ok:
-            violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
+    else:
+        check_crossing_routes(e, lk)
+        if not report.identity_ok:
+            violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
+        elif p is not None:
+            report.e_deformed = algebraic_crossing_number(braid_from_knot(k_def))
+            report.isotopy_ok = (report.e_deformed == e)
+            if not report.isotopy_ok:
+                violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
     if violation is not None:
         report.notes.append(violation)
         raise FormulaViolation(violation, report)

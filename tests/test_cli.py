@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchknot import cli, deformation, intersect, knot, weierstrass
+from branchknot import cli, deformation, errors, intersect, knot, weierstrass
 from branchknot.cpoly import CPoly
 from branchknot.weierstrass import WeierstrassData
 
@@ -102,6 +103,37 @@ class TestBadFiles:
         err = capsys.readouterr().err
         assert all(n in err for n in named), err
         assert "unpack" not in err
+
+
+def documented_exit_codes() -> dict:
+    """{code: its entry} of the exit-code list in the cli docstring."""
+    doc = cli.__doc__.partition("Exit codes:")[2]
+    return {int(m[1]): m[2] for m in
+            re.finditer(r"^  (\d)  (.*?)(?=^  \d  |\Z)", doc, re.M | re.S)}
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type)
+     and issubclass(c, errors.BranchknotError) and c is not errors.BranchknotError),
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_exits_with_its_documented_code(cls, monkeypatch, capsys):
+    # the class declares its code, and the docstring's entry for that code
+    # names the class or a group it belongs to
+    def fail(args):
+        raise cls("the message")
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    rc = run("analyze", "--input", str(DATA / "cusp.json"))
+    assert rc == cls.exit_code
+    assert rc in {2, 3, 4, 5, 6}
+    entry = documented_exit_codes()[rc]
+    assert any(c.__name__ in entry for c in cls.__mro__
+               if issubclass(c, errors.BranchknotError)
+               and c is not errors.BranchknotError)
+    assert capsys.readouterr().err == f"{cls.__name__}: the message\n"
 
 
 class TestAnalyze:
@@ -316,6 +348,29 @@ class TestDeform:
         assert (a / "params.json").read_bytes() == (b / "params.json").read_bytes()
 
 
+@settings(max_examples=20, deadline=None)
+@given(stem=st.sampled_from(sorted(p.stem for p in DATA.glob("*.json"))),
+       t=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.05"]),
+       orientation=st.sampled_from(["+", "-"]))
+def test_deform_exit_code_is_documented(tmp_path_factory, stem, t, orientation):
+    argv = ["deform", "--input", str(DATA / f"{stem}.json"), "--json",
+            "--orientation", orientation,
+            "--out-dir", str(tmp_path_factory.mktemp("deform"))]
+    if t is not None:
+        argv += ["--t", t]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)   # an exception here escaped main
+    assert rc in (0, 2, 3)
+    if rc != 0:
+        assert err.getvalue().count("\n") == 1
+        return
+    assert t == "0.05"
+    member = json.loads(out.getvalue())
+    assert member["gauss_invariance_residual"] <= 1e-10
+    assert member["params"]["orientation"] == orientation
+
+
 def cusp_params(tmp_path) -> str:
     params = {"A": [[0, 0], [0, 0]], "B": [[-0.0025, 0], [0, 0], [0, 0]],
               "orientation": "+", "t": 0.05}
@@ -496,6 +551,22 @@ class TestKnot:
         err = capsys.readouterr().err
         assert f"ValueError: the slice at eta={eta}" in err
         assert "limit |z| <= 0.9" in err
+
+    @pytest.mark.parametrize("command", ["knot", "verify"])
+    def test_crossing_routes_disagree_exit_code(self, command, tmp_path,
+                                                monkeypatch, capsys):
+        # a Gauss sum one above the cusp slice's crossing sum 3 is refused;
+        # knot writes no file
+        monkeypatch.setattr(knot, "linking_number_gauss", lambda k: 4.0)
+        rc = run(command, "--input", str(DATA / "cusp.json"), "--eta", "0.01",
+                 "--params", cusp_params(tmp_path),
+                 "--out-dir", str(tmp_path / "out"))
+        assert rc == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("CrossingRoutesDisagree: crossing-count routes "
+                                "disagree: braid 3, gauss 4.000\n")
+        assert not (tmp_path / "out").exists()
 
     def test_touching_pushoff_exit_code(self, tmp_path, capsys):
         # the four-function slice lies in {x4 = 0}: its pushoff touches it

@@ -190,8 +190,7 @@ def test_merge_pairs_invariant_under_swap(clusters):
 
 def _merged_from_seeds(w, z1, z2):
     """Newton and the merge, as find_double_points runs them at radius 0.5."""
-    a, b, resid, ok = _kernels.newton_double_points(z1, z2, w,
-                                                  intersect._NEWTON_TOL, 50)
+    a, b, resid, ok = _kernels.newton_double_points(z1, z2, w)
     keep = (ok & (np.abs(a) <= 0.5) & (np.abs(b) <= 0.5)
             & (np.abs(a - b) >= intersect._PAIR_SEP_TOL))
     return _merge_pairs(a[keep], b[keep], resid[keep], intersect._DEDUP_TOL)
@@ -237,7 +236,7 @@ def test_newton_double_points_invariant_under_swap(request, member, pick):
                               compute_uv=False).min()
         dp = DoublePoint(a, b, np.zeros(4), 0.0, 0.0)
         assert min(pair_dist(dp, c, d) for c, d, _ in rev) \
-            <= 2.0 * intersect._NEWTON_TOL / sigma
+            <= 2.0 * _kernels._NEWTON_TOL / sigma
 
 
 def test_seeds_near_the_diagonal_do_not_converge_onto_it(cusp_member):
@@ -248,8 +247,7 @@ def test_seeds_near_the_diagonal_do_not_converge_onto_it(cusp_member):
     pts = intersect._disk_grid(0.5, 12)
     z1 = np.repeat(pts, 8)
     z2 = z1 + 1e-3 * np.exp(2j * np.pi * np.tile(np.arange(8), pts.size) / 8)
-    a, b, _, _ = _kernels.newton_double_points(
-        z1, z2, cusp_member.deformed, intersect._NEWTON_TOL, 50)
+    a, b, _, _ = _kernels.newton_double_points(z1, z2, cusp_member.deformed)
     assert (np.abs(a - b) >= intersect._PAIR_SEP_TOL).all()
 
 

@@ -95,7 +95,7 @@ class TestNewtonKernel:
                      bk.CPoly([-3 * T * T, 0, 3]), bk.CPoly.zero()])
         z1 = np.array([0.1 + 0.02j])
         z2 = np.array([-0.07 - 0.01j])
-        a, b, res, ok = _kernels.newton_double_points(z1, z2, w, 1e-12, 50)
+        a, b, res, ok = _kernels.newton_double_points(z1, z2, w)
         assert ok[0] and res[0] <= 1e-12
         root = np.sqrt(3) * T
         assert sorted([a[0].real, b[0].real]) == pytest.approx([-root, root], abs=1e-9)
@@ -105,7 +105,7 @@ class TestNewtonKernel:
         # G = (1, 0), whose Jacobian is zero: the seed is dropped, not solved
         z1 = np.array([0.1 + 0j])
         z2 = np.array([-0.2 + 0.1j])
-        a, b, res, ok = _kernels.newton_double_points(z1, z2, flat, 1e-12, 50)
+        a, b, res, ok = _kernels.newton_double_points(z1, z2, flat)
         assert not ok[0]
         assert a[0] == z1[0] and b[0] == z2[0]
         assert res[0] == pytest.approx(abs(z1[0] - z2[0]), rel=1e-12)
@@ -138,12 +138,12 @@ class TestNewtonReusesResidual:
             return _kernels.newton_double_points(*args), calls
 
     def _check(self, monkeypatch, z1, z2, w):
-        got, calls = self._logged(monkeypatch, z1, z2, w, 1e-12, 50)
+        got, calls = self._logged(monkeypatch, z1, z2, w)
         # the same seeds again, batched with their own reversal: each
         # seed's run is bit for bit the one it has alone
         both = _kernels.newton_double_points(np.concatenate([z1, z1[::-1]]),
                                              np.concatenate([z2, z2[::-1]]),
-                                             w, 1e-12, 50)
+                                             w)
         n = z1.size
         for g, b in zip(got, both):
             assert np.array_equal(g, b[:n])

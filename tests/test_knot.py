@@ -13,6 +13,7 @@ import branchknot as bk
 from branchknot.cpoly import CPoly
 from branchknot.errors import (
     BranchOnSlice,
+    CrossingRoutesDisagree,
     FormulaViolation,
     NonMonotoneFiberAngle,
     PushoffCollision,
@@ -260,6 +261,27 @@ class TestBraid:
         with pytest.raises(NonMonotoneFiberAngle):
             bk.braid_from_knot(k)
 
+    @pytest.mark.parametrize("q", [5, 7, 9])
+    def test_equal_angle_crossings_in_strand_pair_order(self, q):
+        # the strands of z -> (a z^4, b z^q) at one fiber angle are c i^(qk),
+        # k = 0..3, so the chords of the pairs (k, k+1) and (k+2, k+3) are
+        # opposite and cross at one angle; each such pair of crossings is
+        # listed by strand pair, not in an order rounding decides
+        w = torus_curve(4, q, 0.7 * np.exp(0.3j), 1.6 * np.exp(2.1j))
+        crossings = bk.braid_from_knot(bk.trace_slice(w, 0.1)).crossings
+        assert len(crossings) == 3 * q
+        groups = [[crossings[0]]]
+        for c in crossings[1:]:
+            if c[0] - groups[-1][-1][0] <= 1e-12:
+                groups[-1].append(c)
+            else:
+                groups.append([c])
+        # q crossings of (0, 2) or (1, 3) alone, and q pairs
+        assert sorted(len(g) for g in groups) == [1] * q + [2] * q
+        for g in groups:
+            pairs = [c[1:3] for c in g]
+            assert pairs == sorted(pairs)
+
     def test_braid_json(self, cusp_knot):
         d = bk.braid_from_knot(cusp_knot).to_json_dict()
         assert d["n_strands"] == 2
@@ -340,6 +362,21 @@ class TestLinking:
         k = bk.trace_slice(WeierstrassData.from_json_dict(data), 0.1)
         with pytest.raises(PushoffCollision, match="2048-point polygon"):
             bk.linking_number_gauss(k)
+
+
+class TestCrossingRoutes:
+    @pytest.mark.parametrize("e, lk", [(3, 3.0), (3, 3 + 9e-7), (0, -4e-17)])
+    def test_agreeing_routes_pass(self, e, lk):
+        bk.check_crossing_routes(e, lk)
+
+    @pytest.mark.parametrize("e, lk, gauss", [
+        (3, 4.0, "4.000"), (3, 3 + 2e-6, "3.000"), (0, 0.4, "0.400"),
+        (-3, math.nan, "nan")])
+    def test_disagreeing_routes_refused(self, e, lk, gauss):
+        with pytest.raises(CrossingRoutesDisagree) as exc:
+            bk.check_crossing_routes(e, lk)
+        assert str(exc.value) == ("crossing-count routes disagree: "
+                                  f"braid {e}, gauss {gauss}")
 
 
 class TestSelfLinking:
