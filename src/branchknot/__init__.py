@@ -32,6 +32,7 @@ from .knot import (
     check_crossing_routes,
     contact_transversality_margin,
     linking_number_gauss,
+    read_slice,
     select_eta,
     self_linking,
     trace_slice,

@@ -17,12 +17,13 @@ its own as exit_code, directly or through its group:
   2  input validation failure (InputError, ValueError, OSError): a file that
      cannot be read or written, a document that is not a JSON object or
      lacks a key, a tangent plane or Gauss map asked for at a branch point,
-     a grid-n below 28, a double-points radius outside (0, 0.9], a verify
-     slice past |z| = 0.9, and a conf_tol or eta not finite and > 0 included
+     a grid-n below 28, a double-points radius outside (0, 0.9], and a
+     conf_tol or eta not finite and > 0 included
   3  sampling exhausted (SamplingExhausted; a t not finite and > 0 included)
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; crossing-count routes that
-     disagree, CrossingRoutesDisagree, included)
+     disagree, CrossingRoutesDisagree, and a verify slice whose disk passes
+     |z| = 0.9, SliceBeyondSearchLimit, included)
   6  the two Gauss-map routes disagree (GaussCrossCheckFailure)
 """
 
@@ -50,6 +51,7 @@ from .weierstrass import WeierstrassData, branch_points, gauss_maps, symplectic_
 def _dump(obj, path: Path | None, as_json: bool):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
     if as_json or path is None:
         print(text)
@@ -81,6 +83,14 @@ def _load_input(args) -> WeierstrassData:
 
 def _load_params(path: str) -> deformation.PerturbParams:
     return _read_document(path, deformation.PerturbParams.from_json_dict, "A")
+
+
+def _load_map(args) -> WeierstrassData:
+    """The --input map, or with --params its family member."""
+    w = _load_input(args)
+    if args.params:
+        return deformation.build_family_member(w, _load_params(args.params)).deformed
+    return w
 
 
 def _orientation(args) -> int:
@@ -118,8 +128,6 @@ def cmd_analyze(args) -> int:
     report["symplectic_min_minus"] = float(symplectic_positivity(w, ring, -1).min())
 
     out = Path(args.out_dir) / "analyze.json" if args.out_dir else None
-    if out:
-        out.parent.mkdir(parents=True, exist_ok=True)
     _dump(report, out, args.json)
     if not args.json:
         bp_text = ", ".join(f"{b:.4g}" for b in bps) if bps else "none"
@@ -139,9 +147,7 @@ def cmd_deform(args) -> int:
     member = fm.to_json_dict()
     member["gauss_invariance_residual"] = residual
     out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "params.json").write_text(
-        json.dumps(p.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _dump(p.to_json_dict(), out_dir / "params.json", False)
     _dump(member, out_dir / "member.json", args.json)
     if not args.json:
         print(f"gauss invariance residual: {residual:.3e}", file=sys.stderr)
@@ -149,16 +155,10 @@ def cmd_deform(args) -> int:
 
 
 def cmd_double_points(args) -> int:
-    w = _load_input(args)
-    if args.params:
-        fm = deformation.build_family_member(w, _load_params(args.params))
-        w = fm.deformed
-    dps = intersect.find_double_points(w, radius=args.radius,
+    dps = intersect.find_double_points(_load_map(args), radius=args.radius,
                                        grid_n=args.grid_n)
     payload = [dp.to_json_dict() for dp in dps]
     out = Path(args.out_dir) / "double_points.json" if args.out_dir else None
-    if out:
-        out.parent.mkdir(parents=True, exist_ok=True)
     _dump(payload, out, args.json)
     if not args.json:
         print(f"double points: {len(dps)}", file=sys.stderr)
@@ -166,16 +166,7 @@ def cmd_double_points(args) -> int:
 
 
 def cmd_knot(args) -> int:
-    w = _load_input(args)
-    if args.params:
-        fm = deformation.build_family_member(w, _load_params(args.params))
-        w = fm.deformed
-    # the scan returns the slice it accepted, so it is traced only once
-    k = (knot.trace_slice(w, args.eta) if args.eta is not None
-         else knot.select_eta(w))
-    b = knot.braid_from_knot(k)
-    e = knot.algebraic_crossing_number(b)
-    lk = knot.linking_number_gauss(k)
+    k, b, e, lk = knot.read_slice(_load_map(args), args.eta)
     knot.check_crossing_routes(e, lk)
     report = {
         "eta": k.eta,
@@ -191,8 +182,7 @@ def cmd_knot(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "knot.csv", "w", newline="") as fh:
         k.to_csv(fh)
-    (out_dir / "braid.json").write_text(
-        json.dumps(b.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _dump(b.to_json_dict(), out_dir / "braid.json", False)
     _dump(report, out_dir / "knot_report.json", args.json)
     if not args.json:
         # a rounding residue below 0.0005 prints as 0.000, without a sign
@@ -226,12 +216,9 @@ def cmd_verify(args) -> int:
 
 
 def _write_verify_report(report, args) -> None:
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _dump(report.to_json_dict(), out_dir / "verify.json", args.json)
-    elif args.json:
-        _dump(report.to_json_dict(), None, True)
+    out = Path(args.out_dir) / "verify.json" if args.out_dir else None
+    if out or args.json:
+        _dump(report.to_json_dict(), out, args.json)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ class CrossingRoutesDisagree(SliceFailure):
     """The braid's crossing sum and the Gauss linking sum disagree."""
 
 
+class SliceBeyondSearchLimit(SliceFailure):
+    """The disk a slice bounds passes the double-point search limit."""
+
+
 class FormulaViolation(BranchknotError):
     """Double-point / crossing-number identity failed.
 

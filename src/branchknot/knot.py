@@ -46,6 +46,7 @@ from .errors import (
     NonMonotoneFiberAngle,
     ProjectionPoleOnCurve,
     PushoffCollision,
+    SliceBeyondSearchLimit,
     SliceFailure,
     TraceFailure,
 )
@@ -55,7 +56,7 @@ from .weierstrass import WeierstrassData, _complex_F, branch_points, evaluate_F
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "algebraic_crossing_number",
            "linking_number_gauss", "check_crossing_routes", "self_linking",
-           "contact_transversality_margin", "select_eta",
+           "contact_transversality_margin", "select_eta", "read_slice",
            "verify_double_point_formula", "VerifyReport"]
 
 log = logging.getLogger(__name__)
@@ -115,9 +116,9 @@ class BraidDiagram:
 _LOOP_SAMPLES = 2048
 # radii of the scan that brackets the crossing on every ray
 _SCAN_RADII = np.linspace(1e-6, 0.95, 64)
-# at most _BISECTIONS Newton passes; a ray settles once its last step is at
+# at most _MAX_PASSES Newton passes; a ray settles once its last step is at
 # most _SETTLED_ULPS ulps of its radius (a 1-ulp rule can step forever)
-_BISECTIONS = 60
+_MAX_PASSES = 60
 _SETTLED_ULPS = 4
 
 
@@ -143,7 +144,7 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
     passes on |F|^2 - eta^2 from the middle of its bracket, all rays at
     once: each pass shrinks every bracket, and a Newton step that leaves
     its bracket is replaced by bisection.  The passes stop once every ray
-    has settled, or after _BISECTIONS; a DEBUG line counts them, the rays
+    has settled, or after _MAX_PASSES; a DEBUG line counts them, the rays
     ever bisected and the largest last step.  The samples are F(z)/|F(z)|
     at the roots, in counterclockwise order of their rays.  The
     radial-graph property is certified on every ray: the scan starts below
@@ -182,7 +183,7 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
 
     lo, hi = _SCAN_RADII[first - 1], _SCAN_RADII[first]
     r, bisected = 0.5 * (lo + hi), np.zeros(_LOOP_SAMPLES, bool)
-    for passes in range(1, _BISECTIONS + 1):
+    for passes in range(1, _MAX_PASSES + 1):
         _, _, g, slope = _radial(w, r * dirs, dirs)
         lo, hi = np.where(g < eta2, r, lo), np.where(g < eta2, hi, r)
         # a zero or NaN slope makes a step that is not in the bracket
@@ -497,6 +498,15 @@ def select_eta(w: WeierstrassData) -> KnotCurve:
                        f"tried eta = {', '.join(rejected)}")
 
 
+def read_slice(w: WeierstrassData, eta: float | None = None) -> tuple:
+    """(slice, braid, e, Gauss sum) of w's slice at eta, or of the one
+    select_eta accepts when eta is None, traced once either way; e is the
+    braid's crossing sum, to be compared by check_crossing_routes."""
+    k = select_eta(w) if eta is None else trace_slice(w, eta)
+    b = braid_from_knot(k)
+    return k, b, algebraic_crossing_number(b), linking_number_gauss(k)
+
+
 @dataclass
 class VerifyReport:
     """Everything the double-point identity check produced."""
@@ -541,49 +551,51 @@ def verify_double_point_formula(w_base: WeierstrassData,
                                 grid_n: int = 48) -> VerifyReport:
     """Count double points, compute knot invariants, check 2D = e - (N-1).
 
-    Stages: the member, in relabel_orders' frame (the input's own unless
-    its orders need relabelling), or with p=None the base map itself,
-    which must then be an immersion (unbranched control data); the base
-    slice at eta (with eta=None, the one select_eta accepts) and the
-    perturbed slice at that eta; the search of the disk that slice bounds,
-    D counting the double points imaged in the eta-ball; and the judge.
+    The four stages: _member; the base slice, which read_slice reads at eta
+    (with eta=None, the one select_eta accepts), and the perturbed slice at
+    the same eta; _search, of the disk that slice bounds; and _judge, which
+    returns the report or raises."""
+    base, deformed = _member(w_base, p)
+    read = read_slice(base, eta)
+    k_def = read[0] if p is None else trace_slice(deformed, read[0].eta)
+    dps, D = _search(deformed, k_def, grid_n)
+    return _judge(base.N, read, dps, D, None if p is None else k_def)
 
-    Raises ValueError when the search disk passes |z| = 0.9,
-    CrossingRoutesDisagree (check_crossing_routes) when the base slice
-    braids on N strands but the two crossing-count routes disagree, and
-    FormulaViolation (with the report attached, the message as its last
-    note) when the winding is not N, when the identity fails, or when the
-    perturbed slice changes its crossing sum.
-    """
-    base = deformed = w_base
-    if p is not None:
-        fm = build_family_member(w_base, p)
-        base, deformed = fm.base, fm.deformed
 
-    k_base = select_eta(base) if eta is None else trace_slice(base, eta)
-    eta = k_base.eta
-    k_def = k_base if p is None else trace_slice(deformed, eta)
+def _member(w_base: WeierstrassData, p: PerturbParams | None) -> tuple:
+    """(base, deformed) of the member in relabel_orders' frame; with p=None
+    the base map twice, which must be an immersion (control data)."""
+    if p is None:
+        return w_base, w_base
+    fm = build_family_member(w_base, p)
+    return fm.base, fm.deformed
 
+
+def _search(deformed: WeierstrassData, k_def: KnotCurve, grid_n: int) -> tuple:
+    """(double points of deformed in the disk k_def bounds, D those imaged in
+    the eta-ball); SliceBeyondSearchLimit if the disk passes _MAX_RADIUS."""
     reach = float(np.abs(k_def.preimages).max())
     if _SEARCH_MARGIN * reach > _MAX_RADIUS:
-        raise ValueError(f"the slice at eta={eta!r} reaches |z| = {reach:.4f}, "
-                         f"and {_SEARCH_MARGIN} times that passes the search "
-                         f"limit |z| <= {_MAX_RADIUS}")
+        raise SliceBeyondSearchLimit(
+            f"the slice at eta={k_def.eta!r} reaches |z| = {reach:.4f}, and "
+            f"{_SEARCH_MARGIN} times that passes the search limit |z| <= {_MAX_RADIUS}")
     dps = find_double_points(deformed, _SEARCH_MARGIN * reach, grid_n)
-    D = sum(1 for dp in dps if np.linalg.norm(dp.image) < eta)
+    return dps, sum(1 for dp in dps if np.linalg.norm(dp.image) < k_def.eta)
 
-    b = braid_from_knot(k_base)
-    e = algebraic_crossing_number(b)
-    lk = linking_number_gauss(k_base)
-    N = base.N
+
+def _judge(N: int, read, dps: list, D: int, k_def: KnotCurve | None) -> VerifyReport:
+    """The report on read (read_slice's base slice) and the perturbed slice
+    k_def (None for an unperturbed map), or a raise, in this order:
+    FormulaViolation for a winding not N, CrossingRoutesDisagree, and
+    FormulaViolation when 2D != e - (N-1) or k_def's crossing sum is not e.
+    A FormulaViolation carries the report, its message as the last note."""
+    k, b, e, lk = read
     report = VerifyReport(
-        N=N, D=D, D_total=len(dps), e=e, e_gauss=lk,
-        sl=self_linking(e, N),
+        N=N, D=D, D_total=len(dps), e=e, e_gauss=lk, sl=self_linking(e, N),
         identity_ok=(2 * D == e - (N - 1)),
-        margins_base={+1: contact_transversality_margin(k_base, +1),
-                      -1: contact_transversality_margin(k_base, -1)},
-        eta=eta, double_points=dps)
-
+        margins_base={+1: contact_transversality_margin(k, +1),
+                      -1: contact_transversality_margin(k, -1)},
+        eta=k.eta, double_points=dps)
     violation = None
     if b.n_strands != N:
         violation = f"slice winding {b.n_strands} != N = {N}"
@@ -591,7 +603,7 @@ def verify_double_point_formula(w_base: WeierstrassData,
         check_crossing_routes(e, lk)
         if not report.identity_ok:
             violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
-        elif p is not None:
+        elif k_def is not None:
             report.e_deformed = algebraic_crossing_number(braid_from_knot(k_def))
             report.isotopy_ok = (report.e_deformed == e)
             if not report.isotopy_ok:

@@ -547,9 +547,9 @@ class TestKnot:
         # verify's search disk is a little wider than the slice
         rc = run("verify", "--input", str(DATA / "flat_plane.json"),
                  "--eta", eta)
-        assert rc == 2
+        assert rc == 5
         err = capsys.readouterr().err
-        assert f"ValueError: the slice at eta={eta}" in err
+        assert f"SliceBeyondSearchLimit: the slice at eta={eta}" in err
         assert "limit |z| <= 0.9" in err
 
     @pytest.mark.parametrize("command", ["knot", "verify"])
@@ -671,6 +671,20 @@ class TestVerify:
         assert report["identity_ok"] is False
         assert report["D_total"] == 0
         assert report["notes"][-1] == violation
+
+    def test_reads_the_slice_knot_reads(self, tmp_path, capsys):
+        # knot and verify read the base slice through one function, so the
+        # cusp's slice at eta = 0.01 gives both the same numbers
+        assert run("knot", "--input", str(DATA / "cusp.json"), "--eta", "0.01",
+                   "--out-dir", str(tmp_path / "knot")) == 0
+        assert run("verify", "--input", str(DATA / "cusp.json"), "--eta", "0.01",
+                   "--params", cusp_params(tmp_path),
+                   "--out-dir", str(tmp_path / "verify")) == 0
+        k = json.loads((tmp_path / "knot" / "knot_report.json").read_text())
+        v = json.loads((tmp_path / "verify" / "verify.json").read_text())
+        assert ((k["eta"], k["crossing_sum"], k["linking_gauss"],
+                 k["self_linking"], {"1": k["margin_plus"], "-1": k["margin_minus"]})
+                == (v["eta"], v["e"], v["e_gauss"], v["sl"], v["margins_base"]))
 
     @pytest.mark.parametrize("argv, traces", [
         (["--input", str(DATA / "flat_plane.json")], 1),

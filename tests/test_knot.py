@@ -145,7 +145,7 @@ class TestTraceSlice:
         k = bk.trace_slice(w, 0.05)
         n_default = len(calls)
         assert n_default <= 64 + 12 + 1
-        monkeypatch.setattr(knot_module, "_BISECTIONS", 200)
+        monkeypatch.setattr(knot_module, "_MAX_PASSES", 200)
         calls.clear()
         assert np.array_equal(bk.trace_slice(w, 0.05).preimages, k.preimages)
         assert len(calls) == n_default
@@ -491,6 +491,42 @@ class TestVerify:
         assert rep.identity_ok is False
         assert exc.value.args[0] == rep.notes[-1]
         assert rep.notes[-1] == "2D = 0 differs from e - (N-1) = 2"
+
+    def test_winding_violation_carries_report(self):
+        # z -> (z + 5 z^2, 10 z^2) is immersed (N = 1), but its slice at
+        # eta = 0.8 encloses the root -0.2 of z + 5 z^2 as well as 0, so
+        # its fiber angle turns twice
+        w = bk.load([CPoly([1, 10]), CPoly.zero(), CPoly([0, 20]),
+                     CPoly.zero()])
+        with pytest.raises(FormulaViolation) as exc:
+            bk.verify_double_point_formula(w, None, 0.8)
+        rep = exc.value.report
+        assert (rep.D, rep.e, rep.N) == (0, 1, 1)
+        assert exc.value.args[0] == rep.notes[-1]
+        assert rep.notes[-1] == "slice winding 2 != N = 1"
+        assert rep.e_deformed is None and rep.isotopy_ok is None
+
+    def test_isotopy_violation_carries_report(self, cusp, cusp_member,
+                                              monkeypatch):
+        # one extra positive crossing on the perturbed slice's braid only:
+        # the identity holds on the base slice, the isotopy check fails
+        k_def = bk.trace_slice(cusp_member.deformed, 1e-2)
+        real = knot_module.braid_from_knot
+
+        def braid(k):
+            b = real(k)
+            if not np.array_equal(k.samples, k_def.samples):
+                return b
+            return bk.BraidDiagram(b.n_strands, b.crossings + ((0.0, 0, 1, 1),))
+
+        monkeypatch.setattr(knot_module, "braid_from_knot", braid)
+        with pytest.raises(FormulaViolation) as exc:
+            bk.verify_double_point_formula(cusp, cusp_member.params, 1e-2)
+        rep = exc.value.report
+        assert (rep.D, rep.e, rep.N, rep.e_deformed) == (1, 3, 2, 4)
+        assert rep.identity_ok and rep.isotopy_ok is False
+        assert exc.value.args[0] == rep.notes[-1]
+        assert rep.notes[-1] == "perturbed slice crossing sum 4 != 3"
 
     def test_searches_the_disk_the_slice_bounds(self):
         # this T(5,9) member has four double points in the 0.05-ball, with

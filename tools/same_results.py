@@ -1,12 +1,12 @@
 """Compare this tree's CLI results with OTHER_TREE's, for perf changes.
 
 Usage: python3 tools/same_results.py OTHER_TREE.  Runs every case of the
-three benchmark workloads at seeds 1 and 11 (perfbench/workloads.py)
-through branchknot.cli.main, each tree in its own subprocess.  Prints
-each difference in exit code, stdout, stderr or a non-float JSON field
-(lists of objects compare as sets), and exits 1 if there is one; then the
-largest difference of each float JSON field and CSV column, relative to
-max(1, |value|)."""
+three benchmark workloads at seeds 1 and 11 (perfbench/workloads.py), and
+the 60 runs of the T(p, q) sweep (sweep_cases), through branchknot.cli.main,
+each tree in its own subprocess.  Prints each difference in exit code,
+stdout, stderr or a non-float JSON field (lists of objects compare as
+sets), and exits 1 if there is one; then the largest difference of each
+float JSON field and CSV column, relative to max(1, |value|)."""
 
 import contextlib
 import io
@@ -21,25 +21,47 @@ import numpy as np
 HERE = Path(__file__).resolve().parents[1]
 
 
+def sweep_cases(work: Path) -> list:
+    """(name, argv, out_dir) of the 60 runs of the T(p, q) sweep: verify on
+    each knot-slices curve, with unit leading coefficients, at sampler
+    seeds 1 and 2 and two settings of t and eta; inputs go under work."""
+    from workloads import TORUS_POOL, torus_curve
+    (work / "inputs").mkdir(parents=True)
+    cases = []
+    for p, qs in TORUS_POOL.items():
+        for q in qs:
+            path = work / "inputs" / f"T{p}_{q}.json"
+            path.write_text(json.dumps(torus_curve(p, q)) + "\n")
+            for setting in (["--t", "0.005", "--eta", "0.05"], ["--t", "1e-5"]):
+                for seed in ("1", "2"):
+                    out = work / "out" / f"{len(cases):02d}"
+                    argv = ["verify", "--input", str(path), "--out-dir", str(out),
+                            "--seed", seed, *setting]
+                    name = f"sweep: verify T({p},{q}) --seed {seed} {' '.join(setting)}"
+                    cases.append((name, argv, out))
+    return cases
+
+
 def run_tree(tree: str, work: str) -> None:
     """Run every case with tree's branchknot; write work/results.json."""
     sys.path[:0] = [str(Path(tree) / "src"), str(HERE / "perfbench")]
     from branchknot import cli
     from workloads import WORKLOADS, build_cases
+    cases = [(f"{wl} seed {seed}: {case.name}", case.argv, case.out_dir)
+             for wl in WORKLOADS for seed in (1, 11)
+             for case in build_cases(wl, seed, HERE / "data", Path(work) / f"{wl}{seed}")]
     results = []
-    for wl in WORKLOADS:
-        for seed in (1, 11):
-            for case in build_cases(wl, seed, HERE / "data", Path(work) / f"{wl}{seed}"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        rc = cli.main(case.argv)
-                    except SystemExit as exc:
-                        rc = exc.code
-                files = {p.name: p.read_text() for p in case.out_dir.glob("*")}
-                results.append([f"{wl} seed {seed}: {case.name}", {
-                    "exit code": rc, "stdout": out.getvalue().replace(work, "WORK"),
-                    "stderr": err.getvalue().replace(work, "WORK"), **files}])
+    for name, argv, out_dir in cases + sweep_cases(Path(work) / "sweep"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        files = {p.name: p.read_text() for p in out_dir.glob("*")}
+        results.append([name, {
+            "exit code": rc, "stdout": out.getvalue().replace(work, "WORK"),
+            "stderr": err.getvalue().replace(work, "WORK"), **files}])
     (Path(work) / "results.json").write_text(json.dumps(results))
 
 
