@@ -22,7 +22,7 @@ from .deformation import (
     transversality_determinant,
     transversality_determinant_direct,
 )
-from .intersect import DoublePoint, brute_force_double_points, find_double_points, is_transverse
+from .intersect import DoublePoint, brute_force_double_points, find_double_points
 from .knot import (
     BraidDiagram,
     KnotCurve,

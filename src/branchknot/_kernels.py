@@ -81,7 +81,8 @@ def _solve(J: np.ndarray, r: np.ndarray):
     """x solving the 4x4 systems J x = r, J (4, 4, k) and r (4, k), by one
     Gauss-Jordan elimination with partial pivoting on a (4, 5, k) array,
     with rows exchanged by selection, and the determinants, the products
-    of the pivots (a zero pivot then becomes 1, so x stays finite)."""
+    of the pivots.  A zero pivot becomes 1 for the elimination, but x can
+    still be inf or NaN where J is singular or nearly so."""
     A = np.concatenate([J, r[:, None]], axis=1)
     det = np.ones(A.shape[2])
     for c in range(4):
@@ -105,7 +106,8 @@ def newton_double_points(z1, z2, w: WeierstrassData):
 
     G is evaluated at the seeds and then once per trial step; each
     iteration factorises the batch of Jacobians once.  A seed stops where
-    it is, with ok False, when its Jacobian is singular, when its step
+    it is, with ok False, when its Jacobian is singular (its determinant
+    is within 1e-300 of 0, or its step is not finite), when its step
     would leave the unit disk (outside it branch_points does not look,
     and the polynomials overflow), or when 9 halvings of the step do not
     keep |G| from rising.  A DEBUG line counts each reason.
@@ -124,9 +126,11 @@ def newton_double_points(z1, z2, w: WeierstrassData):
             break
         Gi = G[:, idx]
         J = _deflated_jacobian(w, z1[idx], z2[idx], Gi)
-        delta, det = _solve(J, -np.concatenate([Gi.real, Gi.imag]))
-        good = np.abs(det) > 1e-300
-        d1, d2 = delta[0] + 1j * delta[1], delta[2] + 1j * delta[3]
+        # a step that is not finite comes from a singular J: that seed stops
+        with np.errstate(all="ignore"):
+            delta, det = _solve(J, -np.concatenate([Gi.real, Gi.imag]))
+            d1, d2 = delta[0] + 1j * delta[1], delta[2] + 1j * delta[3]
+        good = (np.abs(det) > 1e-300) & np.isfinite(d1) & np.isfinite(d2)
         keep = good & (np.abs(z1[idx] + d1) <= 1.0) & (np.abs(z2[idx] + d2) <= 1.0)
         n_sing += int((~good).sum())
         n_off += int((good & ~keep).sum())

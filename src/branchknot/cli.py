@@ -138,16 +138,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    w = _load_input(args)
-    p = deformation.sample_generic(w, args.t, args.seed,
-                                   orientation=_orientation(args))
-    fm = deformation.build_family_member(w, p)
+    fm = deformation.sample_generic(_load_input(args), args.t, args.seed,
+                                    orientation=_orientation(args))
     ring = 0.3 * np.exp(2j * np.pi * np.arange(100) / 100)
     residual = deformation.gauss_invariance_residual(fm, ring)
     member = fm.to_json_dict()
     member["gauss_invariance_residual"] = residual
     out_dir = Path(args.out_dir or ".")
-    _dump(p.to_json_dict(), out_dir / "params.json", False)
+    _dump(fm.params.to_json_dict(), out_dir / "params.json", False)
     _dump(member, out_dir / "member.json", args.json)
     if not args.json:
         print(f"gauss invariance residual: {residual:.3e}", file=sys.stderr)
@@ -194,14 +192,15 @@ def cmd_knot(args) -> int:
 def cmd_verify(args) -> int:
     w = _load_input(args)
     if args.params:
-        p = _load_params(args.params)
+        fm = deformation.build_family_member(w, _load_params(args.params))
     elif args.t is not None and w.N > 1:
-        p = deformation.sample_generic(w, args.t, args.seed,
-                                       orientation=_orientation(args))
+        fm = deformation.sample_generic(w, args.t, args.seed,
+                                        orientation=_orientation(args))
     else:
-        p = None
+        fm = None
+    base, deformed = (w, None) if fm is None else (fm.base, fm.deformed)
     try:
-        report = knot.verify_double_point_formula(w, p, args.eta,
+        report = knot.verify_double_point_formula(base, deformed, args.eta,
                                                   grid_n=args.grid_n)
     except FormulaViolation as exc:
         # a violating report is written and printed like a passing one

@@ -37,7 +37,7 @@ import numpy as np
 
 from .cpoly import CPoly, complex_pairs
 from .errors import SamplingExhausted
-from .intersect import find_double_points, is_transverse
+from .intersect import find_double_points
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, load
 
 __all__ = ["PerturbParams", "FamilyMember", "build_family_member", "check_X1",
@@ -246,8 +246,8 @@ def check_X1(p: PerturbParams, w: WeierstrassData) -> bool:
 
 
 def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
-                   orientation: int = +1) -> PerturbParams:
-    """Draw parameters of size <= t passing the rejection battery.
+                   orientation: int = +1) -> FamilyMember:
+    """The member of the first draw of size <= t passing the rejection battery.
 
     A draw is accepted when the monic factors have simple nonzero roots,
     the deformed map has no branch point in the unit disk, and every
@@ -278,8 +278,8 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
         if branch_points(fm.deformed):
             continue
         dps = find_double_points(fm.deformed, radius=0.5, grid_n=32)
-        if all(is_transverse(dp, fm.deformed) for dp in dps):
-            return p
+        if all(dp.transverse for dp in dps):
+            return fm
     raise SamplingExhausted(f"no generic parameters found in {_MAX_DRAWS} draws "
                             f"at scale t={t}")
 

@@ -23,8 +23,7 @@ from . import _kernels
 from .errors import BranchPointInRegion
 from .weierstrass import WeierstrassData, branch_points, evaluate_F, jacobian
 
-__all__ = ["DoublePoint", "find_double_points", "is_transverse",
-           "brute_force_double_points"]
+__all__ = ["DoublePoint", "find_double_points", "brute_force_double_points"]
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +41,8 @@ class DoublePoint:
 
     The pair is stored in canonical order (lexicographic by (Re, Im));
     transversality_det is the raw 4x4 determinant of the two tangent
-    frames stacked as columns.
+    frames stacked as columns, and frame_norms the product of those
+    columns' norms (not written to JSON).
     """
 
     z1: complex
@@ -50,6 +50,18 @@ class DoublePoint:
     image: np.ndarray
     residual: float
     transversality_det: float
+    frame_norms: float
+
+    @property
+    def transverse(self) -> bool:
+        """True iff the two tangent planes span R^4.
+
+        transversality_det is normalized by frame_norms, making the test
+        invariant under global rescaling of the map; a zero frame_norms
+        is not transverse.
+        """
+        return (self.frame_norms != 0.0
+                and abs(self.transversality_det) > 1e-6 * self.frame_norms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,10 +79,14 @@ def _disk_grid(radius: float, n: int) -> np.ndarray:
     return zz[np.abs(zz) <= radius].ravel()
 
 
-def _frame_det(w: WeierstrassData, z1: complex, z2: complex) -> float:
+def _frame(w: WeierstrassData, z1: complex, z2: complex) -> tuple:
+    """(determinant, product of the column norms) of the tangent frames
+    of w at z1 and z2 stacked as the columns of a 4x4 matrix."""
     fx1, fy1 = jacobian(w, z1)
     fx2, fy2 = jacobian(w, z2)
-    return float(np.linalg.det(np.stack([fx1, fy1, fx2, fy2], axis=-1)))
+    cols = np.stack([fx1, fy1, fx2, fy2], axis=-1)
+    return (float(np.linalg.det(cols)),
+            float(np.prod(np.linalg.norm(cols, axis=0))))
 
 
 def find_double_points(w: WeierstrassData, radius: float = 0.5,
@@ -103,22 +119,21 @@ def find_double_points(w: WeierstrassData, radius: float = 0.5,
     keep = (ok & (np.abs(z1) <= radius) & (np.abs(z2) <= radius)
             & (np.abs(z1 - z2) >= _PAIR_SEP_TOL))
     out = []
-    for a, b, r in _merge_pairs(z1[keep], z2[keep], resid[keep], _DEDUP_TOL):
+    for a, b, r in _merge_pairs(z1[keep], z2[keep], resid[keep]):
         image = 0.5 * (evaluate_F(w, a) + evaluate_F(w, b))
-        out.append(DoublePoint(z1=a, z2=b, image=image, residual=r,
-                               transversality_det=_frame_det(w, a, b)))
+        out.append(DoublePoint(a, b, image, r, *_frame(w, a, b)))
     log.debug("double-point search: %d seed-grid points, %d seeds, "
               "%d converged, %d double points",
               pts.size, i.size, int(ok.sum()), len(out))
     return out
 
 
-def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,
-                 dedup_tol: float) -> list[tuple[complex, complex, float]]:
+def _merge_pairs(z1: np.ndarray, z2: np.ndarray,
+                 resid: np.ndarray) -> list[tuple[complex, complex, float]]:
     """Merge converged pairs into double points, in canonical order.
 
     In lexicographic order, a pair is a duplicate when both preimages
-    agree within dedup_tol with those of a pair already kept, under
+    agree within _DEDUP_TOL with those of a pair already kept, under
     either matching: canonical order is unstable when the two preimages
     have nearly equal real parts.  Each kept pair removes all its
     duplicates at once, so the loop runs once per double point.
@@ -132,26 +147,10 @@ def _merge_pairs(z1: np.ndarray, z2: np.ndarray, resid: np.ndarray,
     while a.size:
         ma, mb = a[0], b[0]
         merged.append((complex(ma), complex(mb), float(resid[0])))
-        dup = (((np.abs(a - ma) < dedup_tol) & (np.abs(b - mb) < dedup_tol))
-               | ((np.abs(a - mb) < dedup_tol) & (np.abs(b - ma) < dedup_tol)))
+        dup = (((np.abs(a - ma) < _DEDUP_TOL) & (np.abs(b - mb) < _DEDUP_TOL))
+               | ((np.abs(a - mb) < _DEDUP_TOL) & (np.abs(b - ma) < _DEDUP_TOL)))
         a, b, resid = a[~dup], b[~dup], resid[~dup]
     return merged
-
-
-def is_transverse(dp: DoublePoint, w: WeierstrassData) -> bool:
-    """True iff the two tangent planes at the double point span R^4.
-
-    dp.transversality_det, the raw 4x4 determinant of the frames of w
-    at the pair, is normalized by the product of the column norms, making
-    the test invariant under global rescaling of the map.
-    """
-    fx1, fy1 = jacobian(w, dp.z1)
-    fx2, fy2 = jacobian(w, dp.z2)
-    norms = np.linalg.norm(np.stack([fx1, fy1, fx2, fy2], axis=-1), axis=0)
-    denom = float(np.prod(norms))
-    if denom == 0.0:
-        return False
-    return abs(dp.transversality_det) > 1e-6 * denom
 
 
 def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,

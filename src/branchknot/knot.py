@@ -38,7 +38,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _kernels
-from .deformation import PerturbParams, build_family_member
 from .errors import (
     BranchOnSlice,
     CrossingRoutesDisagree,
@@ -545,30 +544,24 @@ class VerifyReport:
 _SEARCH_MARGIN = 1.01
 
 
-def verify_double_point_formula(w_base: WeierstrassData,
-                                p: PerturbParams | None,
+def verify_double_point_formula(base: WeierstrassData,
+                                deformed: WeierstrassData | None = None,
                                 eta: float | None = None,
                                 grid_n: int = 48) -> VerifyReport:
     """Count double points, compute knot invariants, check 2D = e - (N-1).
 
-    The four stages: _member; the base slice, which read_slice reads at eta
-    (with eta=None, the one select_eta accepts), and the perturbed slice at
-    the same eta; _search, of the disk that slice bounds; and _judge, which
-    returns the report or raises."""
-    base, deformed = _member(w_base, p)
+    base and deformed are a family member's two maps, in its frame
+    (FamilyMember.base and .deformed); with deformed=None, base is checked
+    unperturbed and must be an immersion (control data).  The stages: the
+    base slice, which read_slice reads at eta (with eta=None, the one
+    select_eta accepts), and the deformed slice at the same eta; _search,
+    of the disk that slice bounds; and _judge, which returns the report or
+    raises."""
     read = read_slice(base, eta)
-    k_def = read[0] if p is None else trace_slice(deformed, read[0].eta)
-    dps, D = _search(deformed, k_def, grid_n)
-    return _judge(base.N, read, dps, D, None if p is None else k_def)
-
-
-def _member(w_base: WeierstrassData, p: PerturbParams | None) -> tuple:
-    """(base, deformed) of the member in relabel_orders' frame; with p=None
-    the base map twice, which must be an immersion (control data)."""
-    if p is None:
-        return w_base, w_base
-    fm = build_family_member(w_base, p)
-    return fm.base, fm.deformed
+    if deformed is None:
+        return _judge(base.N, read, *_search(base, read[0], grid_n), None)
+    k_def = trace_slice(deformed, read[0].eta)
+    return _judge(base.N, read, *_search(deformed, k_def, grid_n), k_def)
 
 
 def _search(deformed: WeierstrassData, k_def: KnotCurve, grid_n: int) -> tuple:

@@ -5,7 +5,6 @@ import pytest
 
 import branchknot as bk
 from branchknot import _kernels, deformation
-from branchknot.intersect import is_transverse
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -105,25 +104,25 @@ def search_seeds(cusp_member, torus_member):
 def sampler_run():
     """The members sample_generic accepts at t = 0.05 for four fixtures,
     seeds 1-3 and both orientations, keyed (stem, seed, orientation), and
-    every (double point, deformed map) that it asked is_transverse about
-    on the way, rejected draws included."""
+    every (double point, deformed map) its searches found on the way,
+    rejected draws included."""
     members, judged = {}, []
+    search = deformation.find_double_points
 
-    def record(dp, w):
-        judged.append((dp, w))
-        return is_transverse(dp, w)
+    def record(w, *args, **kwargs):
+        dps = search(w, *args, **kwargs)
+        judged.extend((dp, w) for dp in dps)
+        return dps
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(deformation, "is_transverse", record)
+        m.setattr(deformation, "find_double_points", record)
         for stem in ("cusp", "torus5", "four_function", "mixed_strong"):
             w = bk.WeierstrassData.from_json_dict(
                 json.loads((DATA / f"{stem}.json").read_text()))
             for seed in (1, 2, 3):
                 for orientation in (+1, -1):
-                    p = bk.sample_generic(w, 0.05, seed,
-                                          orientation=orientation)
-                    members[stem, seed, orientation] = \
-                        bk.build_family_member(w, p)
+                    members[stem, seed, orientation] = bk.sample_generic(
+                        w, 0.05, seed, orientation=orientation)
     return members, judged
 
 

@@ -29,7 +29,7 @@ def test_criterion_01_cusp_pipeline(cusp):
     got = sorted([dps[0].z1, dps[0].z2], key=lambda c: c.real)
     assert abs(got[0] + root) < 1e-8 and abs(got[1] - root) < 1e-8
 
-    rep = bk.verify_double_point_formula(cusp, p, eta=1e-2)
+    rep = bk.verify_double_point_formula(fm.base, fm.deformed, eta=1e-2)
     assert rep.N == 2 and rep.e == 3 and rep.D == 1
     assert 2 * rep.D == rep.e - (rep.N - 1)
     elapsed = time.monotonic() - start
@@ -41,7 +41,8 @@ def test_criterion_02_higher_torus(torus5):
     start = time.monotonic()
     c = -1e-4
     p = bk.PerturbParams(A=[0, 0], B=[c / 5, 0, 0, 0, 0], orientation=+1, t=0.1)
-    rep = bk.verify_double_point_formula(torus5, p, eta=0.02)
+    fm = bk.build_family_member(torus5, p)
+    rep = bk.verify_double_point_formula(fm.base, fm.deformed, eta=0.02)
     assert rep.D == 2 and rep.e == 5 and rep.N == 2
     assert 2 * rep.D == rep.e - (rep.N - 1)
     elapsed = time.monotonic() - start
@@ -50,7 +51,7 @@ def test_criterion_02_higher_torus(torus5):
 
 
 def test_criterion_03_unbranched_control(flat):
-    rep = bk.verify_double_point_formula(flat, None, eta=0.5)
+    rep = bk.verify_double_point_formula(flat, eta=0.5)
     assert rep.N == 1 and rep.D == 0 and rep.e == 0
     assert 2 * rep.D == rep.e - (rep.N - 1)
     k = bk.trace_slice(flat, 0.5)
@@ -67,8 +68,7 @@ def test_criterion_04_four_function_invariance(ex4):
     ring = 0.3 * np.exp(2j * np.pi * np.arange(100) / 100)
     residuals = {}
     for orientation in (+1, -1):
-        p = bk.sample_generic(ex4, 0.05, 11, orientation=orientation)
-        fm = bk.build_family_member(ex4, p)
+        fm = bk.sample_generic(ex4, 0.05, 11, orientation=orientation)
         residuals[orientation] = bk.gauss_invariance_residual(fm, ring)
         assert residuals[orientation] <= 1e-10
     _ok(4, "four-function family: gamma+ residual "
@@ -76,8 +76,7 @@ def test_criterion_04_four_function_invariance(ex4):
 
 
 def test_criterion_05_determinant_cross_check(ex4):
-    p = bk.sample_generic(ex4, 0.05, 13)
-    fm = bk.build_family_member(ex4, p)
+    fm = bk.sample_generic(ex4, 0.05, 13)
     rng = np.random.default_rng(99)
     for _ in range(100):
         z1 = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
@@ -165,8 +164,8 @@ def test_criterion_09_invariant_suite(cusp, torus5, ex4, cusp_member,
                                       torus_member):
     members = [cusp_member, torus_member]
     for orientation, seed in ((+1, 21), (-1, 22)):
-        p = bk.sample_generic(ex4, 0.03, seed, orientation=orientation)
-        members.append(bk.build_family_member(ex4, p))
+        members.append(bk.sample_generic(ex4, 0.03, seed,
+                                         orientation=orientation))
     worst = 0.0
     for fm in members:
         scale = max(1.0, max(q.max_abs_coeff() for q in fm.h) ** 2)
@@ -196,8 +195,7 @@ def test_criterion_10_negative_orientation_report(ex4):
     # with sigma = -1, where e is the crossing sum of the deformed map's
     # slice and a double point in the ball has sign sigma * sign(det)
     sigma, eta = -1, 1e-2
-    p = bk.sample_generic(ex4, 0.01, 3, orientation=sigma)
-    fm = bk.build_family_member(ex4, p)
+    fm = bk.sample_generic(ex4, 0.01, 3, orientation=sigma)
     dps = bk.find_double_points(fm.deformed, radius=0.5, grid_n=48)
     in_ball = [dp for dp in dps if np.linalg.norm(dp.image) < eta]
     signed = sum(sigma * int(np.sign(dp.transversality_det)) for dp in in_ball)

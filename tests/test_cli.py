@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,18 @@ from branchknot.cpoly import CPoly
 from branchknot.weierstrass import WeierstrassData
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# z -> (conj z^2, conj z^3), whose slices turn clockwise
+CONJUGATE_CUSP = {"fprime": [[], [[0, 0], [2, 0]], [], [[0, 0], [0, 0], [3, 0]]]}
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def write_input(tmp_path, doc) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def non_conformal(tmp_path, conf_tol=None) -> str:
@@ -348,6 +357,39 @@ class TestDeform:
         assert (a / "params.json").read_bytes() == (b / "params.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["deform", "--input", str(DATA / "four_function.json"), "--t", "0.05"],
+    ["deform", "--input", str(DATA / "cusp.json"), "--t", "0.05",
+     "--orientation", "-"],
+    ["verify", "--input", str(DATA / "cusp.json"), "--t", "0.005",
+     "--eta", "0.05"],
+], ids=["deform-four-function", "deform-cusp", "verify-cusp"])
+def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
+    # every draw that passes check_X1 builds its member once, and the
+    # accepted one is handed on, not built again
+    real_build, real_x1 = (deformation.build_family_member,
+                           deformation.check_X1)
+    built, passed = [], []
+
+    def build(w, p):
+        built.append(p)
+        return real_build(w, p)
+
+    def x1(p, w):
+        passed.append(real_x1(p, w))
+        return passed[-1]
+
+    # wherever a package module binds them
+    for mod in [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "branchknot"]:
+        for name, spy, real in (("build_family_member", build, real_build),
+                                ("check_X1", x1, real_x1)):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path)) == 0
+    assert len(built) == sum(passed) >= 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(stem=st.sampled_from(sorted(p.stem for p in DATA.glob("*.json"))),
        t=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-300", "0.05"]),
@@ -389,6 +431,15 @@ class TestDoublePoints:
         assert len(dps) == 1
         assert dps[0]["residual"] <= 1e-12
 
+    def test_singular_seeds_print_no_warning(self, tmp_path, capsys):
+        # z -> (z + 5 z^2, 10 z^2): some Newton seeds meet a singular
+        # Jacobian at radius 0.25; they stop without a numpy warning
+        path = write_input(tmp_path, {"fprime": [[[1, 0], [10, 0]], [],
+                                                 [[0, 0], [20, 0]], []]})
+        rc = run("double-points", "--input", path, "--radius", "0.25")
+        assert rc == 0
+        assert capsys.readouterr().err == "double points: 0\n"
+
     def test_branch_point_region_exit_code(self, capsys):
         rc = run("double-points", "--input", str(DATA / "cusp.json"))
         assert rc == 2
@@ -416,11 +467,10 @@ def sampled_cusp(tmp_path_factory):
     points the larger preimage modulus and the image's norm (from a
     grid-48 search of the whole admissible disk)."""
     w = WeierstrassData.from_json_dict(json.loads((DATA / "cusp.json").read_text()))
-    p = deformation.sample_generic(w, 0.05, 1, orientation=+1)
+    fm = deformation.sample_generic(w, 0.05, 1, orientation=+1)
     path = tmp_path_factory.mktemp("sampled_cusp") / "params.json"
-    path.write_text(json.dumps(p.to_json_dict()))
-    deformed = deformation.build_family_member(w, p).deformed
-    dps = intersect.find_double_points(deformed, 0.9, 48)
+    path.write_text(json.dumps(fm.params.to_json_dict()))
+    dps = intersect.find_double_points(fm.deformed, 0.9, 48)
     assert dps
     return (str(path), [max(abs(dp.z1), abs(dp.z2)) for dp in dps],
             [float(np.linalg.norm(dp.image)) for dp in dps])
@@ -506,6 +556,13 @@ class TestKnot:
         monkeypatch.setattr(knot, "linking_number_gauss", lambda k: -4e-17)
         assert run(*argv) == 0
         assert capsys.readouterr().err == "winding=1 e=0 gauss=0.000\n"
+
+    def test_conjugate_cusp(self, tmp_path, capsys):
+        # its slice is read backwards, as the cusp's trefoil
+        rc = run("knot", "--input", write_input(tmp_path, CONJUGATE_CUSP),
+                 "--out-dir", str(tmp_path))
+        assert rc == 0
+        assert capsys.readouterr().err == "winding=2 e=3 gauss=3.000\n"
 
     def test_non_monotone_exit_code(self, tmp_path, capsys):
         rc = run("knot", "--input", str(DATA / "mixed_strong.json"),
@@ -634,6 +691,14 @@ class TestVerify:
         with pytest.warns(UserWarning, match="reflects one coordinate plane"):
             rc = run("verify", "--input", str(path), "--t", "0.005",
                      "--seed", "1", "--eta", "0.05")
+        assert rc == 0
+        assert capsys.readouterr().out == "D=1 e=3 N=2 sl=1 OK\n"
+
+    def test_conjugate_cusp(self, tmp_path, capsys):
+        # both components of each pair are relabelled, and the member's
+        # base slice is read backwards
+        rc = run("verify", "--input", write_input(tmp_path, CONJUGATE_CUSP),
+                 "--t", "0.005", "--seed", "1", "--eta", "0.05")
         assert rc == 0
         assert capsys.readouterr().out == "D=1 e=3 N=2 sl=1 OK\n"
 

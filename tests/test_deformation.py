@@ -188,12 +188,12 @@ class TestX1:
 
 class TestSampling:
     def test_deterministic(self, ex4):
-        p1 = bk.sample_generic(ex4, 0.05, 1)
-        p2 = bk.sample_generic(ex4, 0.05, 1)
+        p1 = bk.sample_generic(ex4, 0.05, 1).params
+        p2 = bk.sample_generic(ex4, 0.05, 1).params
         assert np.array_equal(p1.A, p2.A) and np.array_equal(p1.B, p2.B)
 
     def test_scale_bound_and_x1(self, ex4):
-        p = bk.sample_generic(ex4, 0.05, 2)
+        p = bk.sample_generic(ex4, 0.05, 2).params
         assert np.linalg.norm(p.A) <= 0.05 and np.linalg.norm(p.B) <= 0.05
         assert bk.check_X1(p, ex4)
 
@@ -202,8 +202,7 @@ class TestSampling:
             bk.sample_generic(ex4, 0.0, 1)
 
     def test_deformed_is_immersion(self, ex4):
-        p = bk.sample_generic(ex4, 0.02, 5)
-        fm = bk.build_family_member(ex4, p)
+        fm = bk.sample_generic(ex4, 0.02, 5)
         assert all(abs(b) > 0.9 for b in bk.branch_points(fm.deformed))
 
 

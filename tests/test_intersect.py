@@ -148,13 +148,13 @@ class TestMergePairs:
                 z2.append(b + jb)
         z1, z2 = np.array(z1), np.array(z2)
         resid = rng.uniform(0, 1e-12, z1.size)
-        got = _merge_pairs(z1, z2, resid, 1e-6)
+        got = _merge_pairs(z1, z2, resid)
         assert got == _merge_loop(z1, z2, resid, 1e-6)
         assert len(got) == len(centres)
 
     def test_empty(self):
         empty = np.zeros(0, np.complex128)
-        assert _merge_pairs(empty, empty, np.zeros(0), 1e-6) == []
+        assert _merge_pairs(empty, empty, np.zeros(0)) == []
 
 
 _coord = st.floats(-0.5, 0.5, allow_nan=False)
@@ -185,7 +185,7 @@ def _pair_clusters(draw):
 @given(_pair_clusters())
 def test_merge_pairs_invariant_under_swap(clusters):
     z1, z2, resid = clusters
-    assert _merge_pairs(z2, z1, resid, 1e-6) == _merge_pairs(z1, z2, resid, 1e-6)
+    assert _merge_pairs(z2, z1, resid) == _merge_pairs(z1, z2, resid)
 
 
 def _merged_from_seeds(w, z1, z2):
@@ -193,7 +193,7 @@ def _merged_from_seeds(w, z1, z2):
     a, b, resid, ok = _kernels.newton_double_points(z1, z2, w)
     keep = (ok & (np.abs(a) <= 0.5) & (np.abs(b) <= 0.5)
             & (np.abs(a - b) >= intersect._PAIR_SEP_TOL))
-    return _merge_pairs(a[keep], b[keep], resid[keep], intersect._DEDUP_TOL)
+    return _merge_pairs(a[keep], b[keep], resid[keep])
 
 
 def _seed_pairs(radius, grid_n):
@@ -234,7 +234,7 @@ def test_newton_double_points_invariant_under_swap(request, member, pick):
         fx2, fy2 = bk.jacobian(w, b)
         sigma = np.linalg.svd(np.stack([fx1, fy1, -fx2, -fy2], axis=-1),
                               compute_uv=False).min()
-        dp = DoublePoint(a, b, np.zeros(4), 0.0, 0.0)
+        dp = DoublePoint(a, b, np.zeros(4), 0.0, 0.0, 0.0)
         assert min(pair_dist(dp, c, d) for c, d, _ in rev) \
             <= 2.0 * _kernels._NEWTON_TOL / sigma
 
@@ -281,11 +281,34 @@ def test_search_far_from_the_seeds_does_not_overflow():
     # Newton steps from seeds on this member can reach far outside the
     # disk, where the map overflows; Milnor's delta of T(5, 9) is 16
     w = _complex_curve(5, 9)
-    member = bk.build_family_member(w, bk.sample_generic(w, 1e-6, 2))
+    member = bk.sample_generic(w, 1e-6, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         dps = bk.find_double_points(member.deformed, 0.5, 48)
     assert len(dps) == 16
+
+
+def test_singular_seeds_stop_as_singular(caplog):
+    # z -> (z + 5 z^2, 10 z^2) at radius 0.25: some seeds' first step is not
+    # finite although their determinant passes 1e-300 (6e-62); they stop as
+    # singular, with no numpy warning
+    w = bk.load([CPoly([1, 10]), CPoly.zero(), CPoly([0, 20]), CPoly.zero()])
+    z1, z2 = _seed_pairs(0.25, 48)
+    G = _kernels._deflated(w, z1, z2)
+    with np.errstate(all="ignore"):
+        x, det = _kernels._solve(_kernels._deflated_jacobian(w, z1, z2, G),
+                                 -np.concatenate([G.real, G.imag]))
+    tiny, finite = np.abs(det) <= 1e-300, np.isfinite(x).all(axis=0)
+    assert (~tiny & ~finite).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.DEBUG, logger="branchknot"):
+            assert bk.find_double_points(w, 0.25, 48) == []
+    (newton,) = [r for r in caplog.records if r.name == _kernels.__name__]
+    n_seeds, n_off, n_stalled, n_singular, n_conv = newton.args
+    assert n_singular == (tiny | ~finite).sum()
+    assert n_off + n_stalled + n_singular == n_seeds == z1.size
+    assert n_conv == 0
 
 
 TORUS_PQ = [(p, q) for p in range(2, 6) for q in range(p + 1, 10)
@@ -298,14 +321,14 @@ def test_search_finds_milnor_delta(p, q):
     # double points near 0, Milnor's delta of the T(p, q) singularity
     w = _complex_curve(p, q)
     for seed in (1, 2):
-        member = bk.build_family_member(w, bk.sample_generic(w, 0.005, seed))
+        member = bk.sample_generic(w, 0.005, seed)
         dps = bk.find_double_points(member.deformed, 0.9, 48)
         assert len(dps) == (p - 1) * (q - 1) // 2
 
 
 def _is_transverse_recomputed(dp, w) -> bool:
     """The verdict from a freshly built frame determinant, kept as the
-    reference for the one that reads dp.transversality_det."""
+    reference for DoublePoint.transverse, which reads the stored one."""
     fx1, fy1 = bk.jacobian(w, dp.z1)
     fx2, fy2 = bk.jacobian(w, dp.z2)
     cols = np.stack([fx1, fy1, fx2, fy2], axis=-1)
@@ -322,18 +345,20 @@ class TestTransversality:
         _, judged = sampler_run
         assert judged
         for dp, w in judged:
-            assert bk.is_transverse(dp, w) == _is_transverse_recomputed(dp, w)
+            assert dp.transverse == _is_transverse_recomputed(dp, w)
 
     def test_perturbed_cusp_transverse(self, cusp_member):
         dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
-        assert all(bk.is_transverse(dp, cusp_member.deformed) for dp in dps)
+        assert all(dp.transverse for dp in dps)
 
     def test_tangential_plane_pair_rejected(self, flat):
         # both frames span the same plane: rank 2, determinant 0
-        dp = DoublePoint(z1=0.1 + 0j, z2=0.3 + 0j,
-                         image=np.zeros(4), residual=0.0,
-                         transversality_det=0.0)
-        assert not bk.is_transverse(dp, flat)
+        det, norms = intersect._frame(flat, 0.1 + 0j, 0.3 + 0j)
+        assert det == 0.0 and norms > 0.0
+        assert not DoublePoint(0.1 + 0j, 0.3 + 0j, np.zeros(4), 0.0, det,
+                               norms).transverse
+        # a zero frame column: no verdict but False
+        assert not DoublePoint(0j, 1j, np.zeros(4), 0.0, 0.0, 0.0).transverse
 
     def test_scale_invariance(self, cusp, cusp_member):
         dps = bk.find_double_points(cusp_member.deformed, 0.5, 48)
@@ -346,8 +371,7 @@ class TestTransversality:
             assert abs(dp_scaled.transversality_det
                        - 1e4 * dp.transversality_det) \
                 <= 1e-6 * abs(dp_scaled.transversality_det)
-            assert bk.is_transverse(dp, cusp_member.deformed) == \
-                bk.is_transverse(dp_scaled, scaled)
+            assert dp.transverse == dp_scaled.transverse
 
 
 class TestBruteForce:

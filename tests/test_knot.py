@@ -248,6 +248,18 @@ class TestBraid:
         assert b.n_strands == 2
         assert [c[3] for c in b.crossings] == [1, 1, 1]
 
+    def test_clockwise_loop_is_reversed(self):
+        # the conjugate cusp z -> (conj z^2, conj z^3): its slice turns
+        # clockwise in the fiber plane, so the braid reads it backwards and
+        # gets the cusp's trefoil
+        w = bk.load([CPoly.zero(), CPoly([0, 2]), CPoly.zero(),
+                     CPoly([0, 0, 3])])
+        k = bk.trace_slice(w, 0.05)
+        th = np.unwrap(k.fiber_angles())
+        assert th[-1] - th[0] < -2 * math.pi
+        b = bk.braid_from_knot(k)
+        assert (b.n_strands, bk.algebraic_crossing_number(b)) == (2, 3)
+
     def test_mirror_data_gives_negative_crossings(self):
         w = bk.load([CPoly([0, 1]), CPoly([0, 0, 0, -8]),
                      CPoly([0, 0, 1]), CPoly([0, 0, 8])])
@@ -437,6 +449,21 @@ class TestEtaSelection:
         assert k.eta == 0.00125
         assert bk.braid_from_knot(k).n_strands == 1
 
+    def test_winding_not_N_is_rejected_and_halved(self, monkeypatch):
+        # z -> (z^2 + 5 z^3, z^5): the slice also encloses the root -0.2 of
+        # the first component, and winds 3 times, down to eta = 0.0125
+        w = bk.load([CPoly([0, 2, 15]), CPoly.zero(),
+                     CPoly([0, 0, 0, 0, 5]), CPoly.zero()])
+        k = bk.select_eta(w)
+        assert k.eta == 0.1 * 0.5 ** 7
+        b = bk.braid_from_knot(k)
+        assert (b.n_strands, bk.algebraic_crossing_number(b)) == (2, 5)
+        monkeypatch.setattr(knot_module, "_ETA_MIN", 0.01)
+        with pytest.raises(TraceFailure) as exc:
+            bk.select_eta(w)
+        for eta in (0.1, 0.05, 0.025, 0.0125):
+            assert f"{eta} (winding 3 != N = 2)" in str(exc.value)
+
     def test_failure_names_every_eta_tried(self, cusp, monkeypatch):
         monkeypatch.setattr(knot_module, "_ETA_START", 5.0)
         monkeypatch.setattr(knot_module, "_ETA_MIN", 2.0)
@@ -447,8 +474,9 @@ class TestEtaSelection:
 
 
 class TestVerify:
-    def test_cusp_pipeline(self, cusp, cusp_member):
-        rep = bk.verify_double_point_formula(cusp, cusp_member.params, 1e-2)
+    def test_cusp_pipeline(self, cusp_member):
+        rep = bk.verify_double_point_formula(cusp_member.base,
+                                             cusp_member.deformed, 1e-2)
         assert (rep.D, rep.e, rep.N, rep.sl) == (1, 3, 2, 1)
         assert rep.identity_ok and rep.isotopy_ok
         assert rep.e_deformed == 3
@@ -456,13 +484,13 @@ class TestVerify:
         assert rep.margins_base[+1] > 0 and rep.margins_base[-1] > 0
 
     def test_flat_control(self, flat):
-        rep = bk.verify_double_point_formula(flat, None, 0.5)
+        rep = bk.verify_double_point_formula(flat, eta=0.5)
         assert (rep.D, rep.e, rep.N) == (0, 0, 1)
         assert rep.sl == -1
         assert rep.identity_ok
 
     def test_report_json(self, flat):
-        rep = bk.verify_double_point_formula(flat, None, 0.5)
+        rep = bk.verify_double_point_formula(flat, eta=0.5)
         d = rep.to_json_dict()
         assert d["identity_ok"] is True
         assert d["N"] == 1
@@ -475,17 +503,17 @@ class TestVerify:
         w = bk.load([CPoly.zero(), CPoly([0, 2]), CPoly([0, 0, 3]),
                      CPoly.zero()])
         with pytest.warns(UserWarning, match="reflects one coordinate plane"):
-            p = bk.sample_generic(w, 0.005, 1)
-            rep = bk.verify_double_point_formula(w, p, eta)
+            fm = bk.sample_generic(w, 0.005, 1)
+        rep = bk.verify_double_point_formula(fm.base, fm.deformed, eta)
         assert (rep.D, rep.e, rep.N, rep.e_deformed) == (1, 3, 2, 3)
         assert rep.identity_ok and rep.isotopy_ok
 
     def test_violation_carries_report(self, cusp):
         # at t = 0.05 the sampled member's double point lies outside the
         # 0.01-ball, so D = 0 against e - (N-1) = 2
-        p = bk.sample_generic(cusp, 0.05, 1)
+        fm = bk.sample_generic(cusp, 0.05, 1)
         with pytest.raises(FormulaViolation) as exc:
-            bk.verify_double_point_formula(cusp, p, 0.01)
+            bk.verify_double_point_formula(fm.base, fm.deformed, 0.01)
         rep = exc.value.report
         assert (rep.D, rep.e, rep.N) == (0, 3, 2)
         assert rep.identity_ok is False
@@ -499,15 +527,14 @@ class TestVerify:
         w = bk.load([CPoly([1, 10]), CPoly.zero(), CPoly([0, 20]),
                      CPoly.zero()])
         with pytest.raises(FormulaViolation) as exc:
-            bk.verify_double_point_formula(w, None, 0.8)
+            bk.verify_double_point_formula(w, eta=0.8)
         rep = exc.value.report
         assert (rep.D, rep.e, rep.N) == (0, 1, 1)
         assert exc.value.args[0] == rep.notes[-1]
         assert rep.notes[-1] == "slice winding 2 != N = 1"
         assert rep.e_deformed is None and rep.isotopy_ok is None
 
-    def test_isotopy_violation_carries_report(self, cusp, cusp_member,
-                                              monkeypatch):
+    def test_isotopy_violation_carries_report(self, cusp_member, monkeypatch):
         # one extra positive crossing on the perturbed slice's braid only:
         # the identity holds on the base slice, the isotopy check fails
         k_def = bk.trace_slice(cusp_member.deformed, 1e-2)
@@ -521,7 +548,8 @@ class TestVerify:
 
         monkeypatch.setattr(knot_module, "braid_from_knot", braid)
         with pytest.raises(FormulaViolation) as exc:
-            bk.verify_double_point_formula(cusp, cusp_member.params, 1e-2)
+            bk.verify_double_point_formula(cusp_member.base,
+                                           cusp_member.deformed, 1e-2)
         rep = exc.value.report
         assert (rep.D, rep.e, rep.N, rep.e_deformed) == (1, 3, 2, 4)
         assert rep.identity_ok and rep.isotopy_ok is False
@@ -533,22 +561,21 @@ class TestVerify:
         # preimages at |z| = 0.534-0.553: past a fixed search disk of
         # radius 0.5, inside the disk the deformed slice bounds
         w = torus_curve(5, 9)
-        p = bk.sample_generic(w, 0.005, 2)
-        deformed = bk.build_family_member(w, p).deformed
+        fm = bk.sample_generic(w, 0.005, 2)
         # the deformed slice is not isotopic to the base one (e_def = 12,
         # e = 36), so the identity on e fails while it holds on e_def
         with pytest.raises(FormulaViolation) as exc:
-            bk.verify_double_point_formula(w, p, 0.05)
+            bk.verify_double_point_formula(fm.base, fm.deformed, 0.05)
         rep = exc.value.report
         assert rep.D == 4
         e_def = bk.algebraic_crossing_number(
-            bk.braid_from_knot(bk.trace_slice(deformed, 0.05)))
+            bk.braid_from_knot(bk.trace_slice(fm.deformed, 0.05)))
         assert e_def == 12
         assert 2 * rep.D == e_def - (rep.N - 1)
         # every double point in the ball that a search of the whole
         # admissible disk finds is in the report, up to the pair swap
         pairs = [(dp.z1, dp.z2) for dp in rep.double_points]
-        in_ball = [dp for dp in bk.find_double_points(deformed, 0.9, 48)
+        in_ball = [dp for dp in bk.find_double_points(fm.deformed, 0.9, 48)
                    if np.linalg.norm(dp.image) < 0.05]
         assert len(in_ball) == 4
         for dp in in_ball:
