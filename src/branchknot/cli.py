@@ -21,8 +21,9 @@ its own as exit_code, directly or through its group:
      conf_tol or eta not finite and > 0 included
   3  sampling exhausted (SamplingExhausted; a t not finite and > 0 included)
   4  identity violation (FormulaViolation)
-  5  slicing/braiding failure (SliceFailure; crossing-count routes that
-     disagree, CrossingRoutesDisagree, and a verify slice whose disk passes
+  5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
+     SliceNotEmbedded, crossing-count routes that disagree,
+     CrossingRoutesDisagree, and a verify slice whose disk passes
      |z| = 0.9, SliceBeyondSearchLimit, included)
   6  the two Gauss-map routes disagree (GaussCrossCheckFailure)
 """

@@ -68,6 +68,10 @@ class TraceFailure(SliceFailure):
     """The level set misses a ray or is not a radial graph around 0."""
 
 
+class SliceNotEmbedded(SliceFailure):
+    """The slice's strands meet: it is not an embedded knot."""
+
+
 class BranchOnSlice(SliceFailure):
     """A branch value lies on (or too close to) the slicing sphere."""
 

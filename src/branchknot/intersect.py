@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -163,10 +164,11 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     pair neighborhood (this discards the near-miss continua that any
     threshold alone would catch), and counts clusters of the survivors.
 
-    The cutoff adapts to the local differential size: the scan registers
-    pairs closer than 3 * spacing times the 90th percentile of the
-    differential norm J, and keeps pair (i, j) when
-    |F_i - F_j| < 2.5 * spacing * min(J_i, J_j).
+    The cutoff adapts to the local differential size: pair (i, j) is kept
+    when |F_i - F_j| is at most 3 * spacing times the 90th percentile of
+    the differential norm J and below 2.5 * spacing * min(J_i, J_j).  The
+    tree is asked for each point's ball of the smaller of its two bounds,
+    so it registers only pairs that both can keep.
     """
     side = np.linspace(-radius, radius, fine_n)
     spacing = side[1] - side[0]
@@ -183,21 +185,21 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     jn[in_disk] = jn_disk
 
     query_r = 3.0 * spacing * float(np.percentile(jn_disk, 90))
-
-    tree = cKDTree(img[in_disk])
-    pairs = tree.query_pairs(query_r, output_type="ndarray")
-    if pairs.size == 0:
-        return 0
+    # point i's ball holds every j that both bounds can keep; pairs i < j
+    pts = img[in_disk]
+    balls = cKDTree(pts).query_ball_point(
+        pts, np.minimum(query_r, 2.5 * spacing * jn_disk))
+    i = np.repeat(np.arange(pts.shape[0]), [len(b) for b in balls])
+    j = np.fromiter(chain.from_iterable(balls), np.intp, i.size)
     disk_idx = np.nonzero(in_disk)[0]
-    pairs = disk_idx[pairs]
+    i, j = disk_idx[i[i < j]], disk_idx[j[i < j]]
 
-    sep = np.abs(zz[pairs[:, 0]] - zz[pairs[:, 1]])
-    keep = sep > 10.0 * spacing
-    pairs = pairs[keep]
-    mism = np.linalg.norm(img[pairs[:, 0]] - img[pairs[:, 1]], axis=1)
-    keep = mism < 2.5 * spacing * np.minimum(jn[pairs[:, 0]], jn[pairs[:, 1]])
-    pairs, mism = pairs[keep], mism[keep]
-    if pairs.size == 0:
+    keep = np.abs(zz[i] - zz[j]) > 10.0 * spacing
+    i, j = i[keep], j[keep]
+    mism = np.linalg.norm(img[i] - img[j], axis=1)
+    keep = mism < 2.5 * spacing * np.minimum(jn[i], jn[j])
+    i, j, mism = i[keep], j[keep], mism[keep]
+    if i.size == 0:
         return 0
 
     # one representative (smallest mismatch) per coarse cell-pair bucket;
@@ -208,61 +210,41 @@ def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
     ci = ((zz.real + radius) / cell).astype(np.int64)
     cj = ((zz.imag + radius) / cell).astype(np.int64)
     cellid = ci * (nc + 1) + cj
-    key = cellid[pairs[:, 0]] * (nc + 1) ** 2 + cellid[pairs[:, 1]]
+    key = cellid[i] * (nc + 1) ** 2 + cellid[j]
     order = np.lexsort((mism, key))
     first = np.ones(order.size, bool)
     first[1:] = key[order[1:]] != key[order[:-1]]
-    reps = pairs[order[first]]
-    reps_m = mism[order[first]]
+    i, j, mism = i[order[first]], j[order[first]], mism[order[first]]
 
     # 9-point grid neighborhoods (clamped at the boundary)
     rows, cols = np.divmod(np.arange(fine_n * fine_n), fine_n)
-    nbrs = np.empty((fine_n * fine_n, 9), np.int64)
-    kk = 0
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            rr = np.clip(rows + dr, 0, fine_n - 1)
-            cc = np.clip(cols + dc, 0, fine_n - 1)
-            nbrs[:, kk] = rr * fine_n + cc
-            kk += 1
+    step = np.array([-1, 0, 1])
+    nbrs = (np.clip(rows[:, None, None] + step[:, None], 0, fine_n - 1) * fine_n
+            + np.clip(cols[:, None, None] + step, 0, fine_n - 1)).reshape(-1, 9)
 
-    minima = []
+    is_min = np.empty(i.size, bool)
     chunk = 4096
     with np.errstate(invalid="ignore"):
-        for lo in range(0, len(reps), chunk):
-            pp = reps[lo:lo + chunk]
-            m0 = reps_m[lo:lo + chunk]
-            di = img[nbrs[pp[:, 0]]]              # (k, 9, 4)
-            dj = img[nbrs[pp[:, 1]]]
+        for lo in range(0, i.size, chunk):
+            di = img[nbrs[i[lo:lo + chunk]]]      # (k, 9, 4)
+            dj = img[nbrs[j[lo:lo + chunk]]]
             diff = di[:, :, None, :] - dj[:, None, :, :]
             mm = np.sqrt(np.einsum("kabc,kabc->kab", diff, diff))
-            best = np.nanmin(mm.reshape(len(pp), -1), axis=1)
-            for sel in np.nonzero(m0 <= best + 1e-15)[0]:
-                i, j = pp[sel]
-                minima.append((zz[i], zz[j], m0[sel]))
-    if not minima:
+            best = np.nanmin(mm.reshape(len(di), -1), axis=1)
+            is_min[lo:lo + chunk] = mism[lo:lo + chunk] <= best + 1e-15
+    if not is_min.any():
         return 0
 
-    # union-find clustering; both pair matchings are tried since the
-    # ordering of nearly symmetric preimage pairs is unstable
-    k = len(minima)
-    parent = list(range(k))
+    # clusters of minima whose preimages agree within 5 spacings; both
+    # pair matchings are tried since the ordering of nearly symmetric
+    # preimage pairs is unstable
+    # imported here: at module level it adds ~30 ms to every CLI start
+    from scipy.sparse.csgraph import connected_components
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    a, b = zz[i[is_min]], zz[j[is_min]]
 
-    r_c = 5.0 * spacing
-    for i in range(k):
-        ai, bi = minima[i][0], minima[i][1]
-        for j in range(i + 1, k):
-            aj, bj = minima[j][0], minima[j][1]
-            same = ((abs(ai - aj) < r_c and abs(bi - bj) < r_c)
-                    or (abs(ai - bj) < r_c and abs(bi - aj) < r_c))
-            if same:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(k)})
+    def near(u, v):
+        return np.abs(u[:, None] - v[None, :]) < 5.0 * spacing
+
+    same = (near(a, a) & near(b, b)) | (near(a, b) & near(b, a))
+    return int(connected_components(same, directed=False)[0])

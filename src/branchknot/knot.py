@@ -47,6 +47,7 @@ from .errors import (
     PushoffCollision,
     SliceBeyondSearchLimit,
     SliceFailure,
+    SliceNotEmbedded,
     TraceFailure,
 )
 from .intersect import _MAX_RADIUS, find_double_points
@@ -119,6 +120,8 @@ _SCAN_RADII = np.linspace(1e-6, 0.95, 64)
 # most _SETTLED_ULPS ulps of its radius (a 1-ulp rule can step forever)
 _MAX_PASSES = 60
 _SETTLED_ULPS = 4
+# strands of a traced slice closer than this on the unit sphere meet
+_GAP_FLOOR = 1e-12
 
 
 def _norm2(a, b):
@@ -151,8 +154,10 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
     at the root, the derivative the Newton steps take.
 
     Raises ValueError unless eta is finite and > 0, BranchOnSlice if a
-    branch value sits near the slicing sphere, and TraceFailure if some
-    ray never crosses eta or the slice is not a radial graph.
+    branch value sits near the slicing sphere, TraceFailure if some ray
+    never crosses eta or the slice is not a radial graph, and
+    SliceNotEmbedded if two strands of the samples come closer than
+    _GAP_FLOOR (_min_strand_gap), so that the slice is not a knot.
     """
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0):
@@ -203,7 +208,12 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
         raise TraceFailure(f"level set |F| = {eta} is not a radial graph: "
                            "d|F|/dr <= 0 at a root")
     samples = np.stack([a.real, a.imag, b.real, b.imag], axis=1) / np.sqrt(g)[:, None]
-    return KnotCurve(samples=samples, preimages=pre, eta=eta)
+    k = KnotCurve(samples=samples, preimages=pre, eta=eta)
+    gap = _min_strand_gap(k)
+    if gap < _GAP_FLOOR:
+        raise SliceNotEmbedded(f"the slice at eta={eta!r} is not embedded: two "
+                               f"strands come within {gap:.2e}, below {_GAP_FLOOR:g}")
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,15 @@ class TestAnalyze:
             assert sample["gamma_plus"] == [0.0, 0.0, 1.0]
             assert sample["gamma_minus"] == "undefined (degenerate chart)"
 
+    def test_summary_line(self, capsys):
+        # without --json the report goes to stdout and one line to stderr
+        rc = run("analyze", "--input", str(DATA / "cusp.json"))
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["N"] == 2
+        assert err == ("N=2 orders=[1, None, 2, None] branch_points=[0+0j] "
+                       "conf_residual=0.00e+00\n")
+
     def test_flat(self, capsys):
         rc = run("analyze", "--input", str(DATA / "flat_plane.json"), "--json")
         assert rc == 0
@@ -626,11 +635,21 @@ class TestKnot:
         assert not (tmp_path / "out").exists()
 
     def test_touching_pushoff_exit_code(self, tmp_path, capsys):
-        # the four-function slice lies in {x4 = 0}: its pushoff touches it
+        # the four-function slice lies in {x4 = 0}, so its strands meet at
+        # every eta: the scan rejects each one by name, and a given eta is
+        # refused with the trace's own message
         rc = run("knot", "--input", str(DATA / "four_function.json"),
                  "--out-dir", str(tmp_path))
         assert rc == 5
-        assert "PushoffCollision" in capsys.readouterr().err
+        assert "0.1 (SliceNotEmbedded), 0.05 (SliceNotEmbedded)" in \
+            capsys.readouterr().err
+        rc = run("knot", "--input", str(DATA / "four_function.json"),
+                 "--eta", "0.1", "--out-dir", str(tmp_path))
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("SliceNotEmbedded: the slice at eta=0.1 is not "
+                              "embedded: two strands come within ")
+        assert err.endswith(", below 1e-12\n") and err.count("\n") == 1
 
     def test_sampling_flag_refused(self, capsys):
         # knot reads --params only; --t is not its flag

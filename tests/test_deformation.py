@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchknot as bk
+from branchknot import deformation
 from branchknot.cpoly import CPoly
 from branchknot.deformation import relabel_orders
 from branchknot.errors import SamplingExhausted
@@ -204,6 +205,50 @@ class TestSampling:
     def test_deformed_is_immersion(self, ex4):
         fm = bk.sample_generic(ex4, 0.02, 5)
         assert all(abs(b) > 0.9 for b in bk.branch_points(fm.deformed))
+
+    def test_x1_failures_exhaust_the_draws(self, cusp, monkeypatch):
+        # at t = 1e-6 the cusp's factor roots sit inside the absolute root
+        # floor, so every draw fails X1 and no member is built
+        verdicts, real_check = [], deformation.check_X1
+
+        def check(p, w):
+            verdicts.append(real_check(p, w))
+            return verdicts[-1]
+
+        def build(*args):
+            raise AssertionError("a draw failing X1 was built")
+
+        monkeypatch.setattr(deformation, "_MAX_DRAWS", 5)
+        monkeypatch.setattr(deformation, "check_X1", check)
+        monkeypatch.setattr(deformation, "build_family_member", build)
+        with pytest.raises(SamplingExhausted,
+                           match=r"^no generic parameters found in 5 draws "
+                                 r"at scale t=1e-06$"):
+            bk.sample_generic(cusp, 1e-6, 1)
+        assert verdicts == [False] * 5
+
+    def test_branch_point_rejects_the_draw(self, cusp, monkeypatch):
+        # on a complex curve a branch point fails X1 first, so the branch
+        # test is made to find one in the first member built: that member
+        # is dropped and the next draw passing X1 is taken
+        first = bk.sample_generic(cusp, 0.05, 1)
+        built = []
+        real_build, real_branch_points = (deformation.build_family_member,
+                                          deformation.branch_points)
+
+        def build(w, p):
+            built.append(real_build(w, p))
+            return built[-1]
+
+        def branch_points(w):
+            return [0.5] if len(built) == 1 else real_branch_points(w)
+
+        monkeypatch.setattr(deformation, "build_family_member", build)
+        monkeypatch.setattr(deformation, "branch_points", branch_points)
+        fm = bk.sample_generic(cusp, 0.05, 1)
+        assert len(built) == 2 and fm is built[1]
+        assert np.array_equal(built[0].params.A, first.params.A)
+        assert not np.array_equal(fm.params.A, first.params.A)
 
 
 class TestGaussInvariance:

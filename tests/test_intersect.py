@@ -380,6 +380,19 @@ class TestBruteForce:
         assert oracle_counts["torus"] == 2
         assert oracle_counts["flat"] == 0
 
+    @pytest.mark.parametrize("stem, orientation, seed, count", [
+        ("four_function", +1, 3, 8), ("mixed_strong", -1, 1, 6),
+        ("torus5", +1, 3, 2)])
+    def test_sampled_member_counts(self, stem, orientation, seed, count,
+                                   sampled_members):
+        # the scan's own counts at fine_n 200, pinned so that a rewrite of
+        # the scan keeps them; they are not the members' delta: on the two
+        # non-holomorphic members the scan finds more double points than
+        # the Newton search, and finer grids move them (four_function gives
+        # 4 at fine_n 400, mixed_strong 2 at 300)
+        w = sampled_members[stem, seed, orientation].deformed
+        assert bk.brute_force_double_points(w, 0.5, 200) == count
+
 
 def test_double_point_json(cusp_member):
     dp = bk.find_double_points(cusp_member.deformed, 0.5, 48)[0]

@@ -17,6 +17,7 @@ from branchknot.errors import (
     FormulaViolation,
     NonMonotoneFiberAngle,
     PushoffCollision,
+    SliceNotEmbedded,
     TraceFailure,
 )
 from branchknot import knot as knot_module
@@ -368,10 +369,24 @@ class TestLinking:
 
     def test_touching_pushoff_is_refused(self):
         # the four-function fixture has f3' = f4', so its slice lies in
-        # {x4 = 0}, its strands meet (gap ~4e-16) and the pushoff lands on
-        # the slice: even the full 2048-point polygon has no clearance
+        # {x4 = 0} and its strands meet (gap ~4e-16): the trace refuses it
+        # before any pushoff is tried
         data = json.loads((DATA / "four_function.json").read_text())
-        k = bk.trace_slice(WeierstrassData.from_json_dict(data), 0.1)
+        with pytest.raises(SliceNotEmbedded,
+                           match=r"eta=0\.1 is not embedded: .* below 1e-12"):
+            bk.trace_slice(WeierstrassData.from_json_dict(data), 0.1)
+
+    def test_touching_sheets_leave_the_pushoff_no_clearance(self):
+        # two sheets x3 = +/-0.5 cos(theta / 2), x4 = 0 over the fiber angle
+        # theta meet at theta = pi; the pushoff lands on the slice, so even
+        # the full 2048-point polygon has no clearance
+        th = 4 * math.pi * np.arange(2048) / 2048
+        x3 = 0.5 * np.cos(th / 2)
+        rho = np.sqrt(1 - x3 ** 2)
+        k = KnotCurve(samples=np.stack([rho * np.cos(th), rho * np.sin(th),
+                                        x3, 0 * x3], axis=1),
+                      preimages=0.1 * np.exp(1j * th / 2), eta=0.1)
+        assert knot_module._min_strand_gap(k) < 1e-15
         with pytest.raises(PushoffCollision, match="2048-point polygon"):
             bk.linking_number_gauss(k)
 
