@@ -19,7 +19,7 @@ its own as exit_code, directly or through its group:
      lacks a key, a tangent plane or Gauss map asked for at a branch point,
      a grid-n below 28, a double-points radius outside (0, 0.9], and a
      conf_tol or eta not finite and > 0 included
-  3  sampling exhausted (SamplingExhausted; a t not finite and > 0 included)
+  3  sampling exhausted (SamplingExhausted; --t missing, or not finite and > 0)
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
      SliceNotEmbedded, crossing-count routes that disagree,
@@ -44,7 +44,6 @@ from .errors import (
     FormulaViolation,
     IndeterminateGauss,
     InputError,
-    SamplingExhausted,
 )
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, symplectic_positivity
 
@@ -194,7 +193,7 @@ def cmd_verify(args) -> int:
     w = _load_input(args)
     if args.params:
         fm = deformation.build_family_member(w, _load_params(args.params))
-    elif args.t is not None and w.N > 1:
+    elif w.N > 1:
         fm = deformation.sample_generic(w, args.t, args.seed,
                                         orientation=_orientation(args))
     else:
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "deform" and args.t is None:
-            raise SamplingExhausted("deform requires --t > 0")
         handler = {
             "analyze": cmd_analyze,
             "deform": cmd_deform,

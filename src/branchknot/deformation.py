@@ -253,9 +253,9 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     the deformed map has no branch point in the unit disk, and every
     double point the grid-32 search finds in |z| <= 0.5 is transverse.
     Deterministic for a fixed seed.  Raises SamplingExhausted when t is
-    not finite and > 0, or no draw of the _MAX_DRAWS passes.
+    None or not finite and > 0, or no draw of the _MAX_DRAWS passes.
     """
-    if not (math.isfinite(t) and t > 0):
+    if t is None or not (math.isfinite(t) and t > 0):
         raise SamplingExhausted(
             f"perturbation scale t must be finite and > 0, got {t}")
     base, _ = relabel_orders(w)

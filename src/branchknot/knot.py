@@ -13,7 +13,8 @@ the fiber angles of the samples themselves, so the count is exact for
 the traced polygon, and as a linking number with a pushoff copy, an
 exact solid-angle sum over two polygons after stereographic projection,
 with polygons sized from the pushoff clearance.  The two routes share
-only the slice samples.
+only the slice samples and the slice's sheets and strand_gap; the Gauss
+route reads only the gap, which sizes its pushoff, not the sheets.
 
 Crossing sign convention (fixed project-wide, right-handed): a crossing
 where the chord between the two strands rotates counterclockwise in the
@@ -30,6 +31,7 @@ from the base slice and checks the perturbed slice's crossing sum.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -77,6 +79,44 @@ class KnotCurve:
 
     def fiber_angles(self) -> np.ndarray:
         return np.angle(self.samples[:, 0] + 1j * self.samples[:, 1])
+
+    @functools.cached_property
+    def sheets(self) -> tuple:
+        """(q, th, n): the samples ordered so that the fiber angle rises,
+        that angle unwrapped around the closed loop (last value over q[0]),
+        and its winding n.  NonMonotoneFiberAngle unless every step of th
+        is in (0, pi/2] and n is a positive integer to within 0.01."""
+        q, th = self.samples, self.fiber_angles()
+        closed = np.unwrap(np.append(th, th[0]))
+        if closed[-1] - closed[0] < 0:
+            q, th = q[::-1], th[::-1]
+            closed = np.unwrap(np.append(th, th[0]))
+        d = np.diff(closed)
+        if np.any(d <= 0) or np.max(d) > 0.5 * math.pi:
+            raise NonMonotoneFiberAngle(
+                "fiber angle not strictly monotone along the slice")
+        total = closed[-1] - closed[0]
+        n = int(round(total / (2.0 * math.pi)))
+        if n < 1 or abs(total - 2.0 * math.pi * n) > 0.01:
+            raise NonMonotoneFiberAngle(
+                f"fiber winding {total / (2 * math.pi):.4f} is not a positive integer")
+        return q, closed, n
+
+    @functools.cached_property
+    def strand_gap(self) -> float:
+        """Least (x3,x4)-distance of a sample from the other sheets at its
+        fiber angle; inf with one sheet, or none (sheets raises)."""
+        try:
+            q, th, n = self.sheets
+        except NonMonotoneFiberAngle:
+            return math.inf
+        if n < 2:
+            return math.inf
+        total, th = th[-1] - th[0], th[:-1]
+        wf = q[:, 2] + 1j * q[:, 3]
+        return min(float(np.min(np.abs(
+            wf - np.interp(th + 2.0 * math.pi * s, th, wf, period=total))))
+            for s in range(1, n))
 
     def to_csv(self, fh) -> None:
         """Columns: theta, x1..x4, z_re, z_im (theta = fiber angle).
@@ -157,7 +197,7 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
     branch value sits near the slicing sphere, TraceFailure if some ray
     never crosses eta or the slice is not a radial graph, and
     SliceNotEmbedded if two strands of the samples come closer than
-    _GAP_FLOOR (_min_strand_gap), so that the slice is not a knot.
+    _GAP_FLOOR (KnotCurve.strand_gap), so that the slice is not a knot.
     """
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0):
@@ -209,10 +249,9 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
                            "d|F|/dr <= 0 at a root")
     samples = np.stack([a.real, a.imag, b.real, b.imag], axis=1) / np.sqrt(g)[:, None]
     k = KnotCurve(samples=samples, preimages=pre, eta=eta)
-    gap = _min_strand_gap(k)
-    if gap < _GAP_FLOOR:
-        raise SliceNotEmbedded(f"the slice at eta={eta!r} is not embedded: two "
-                               f"strands come within {gap:.2e}, below {_GAP_FLOOR:g}")
+    if k.strand_gap < _GAP_FLOOR:
+        raise SliceNotEmbedded(f"the slice at eta={eta!r} is not embedded: two strands "
+                               f"come within {k.strand_gap:.2e}, below {_GAP_FLOOR:g}")
     return k
 
 
@@ -220,40 +259,19 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
 # braid presentation
 # ---------------------------------------------------------------------------
 
-def _closed_fiber_angles(q: np.ndarray) -> np.ndarray:
-    th = np.angle(q[:, 0] + 1j * q[:, 1])
-    th = np.append(th, th[0])
-    return np.unwrap(th)
-
-
 def braid_from_knot(k: KnotCurve) -> BraidDiagram:
     """Present the slice as a braid over the fiber angle.
 
     The loop is cut into N strands, one per turn of its unwrapped fiber
-    angle, and every strand is evaluated at the fiber angles of all the
-    samples, taken mod 2 pi.  Between two of those angles each strand is
-    linear, so every exchange of real-part order is found and the crossing
-    sum is exact for the traced polygon; each crossing is signed by the
-    rotation sense of the chord.  Raises NonMonotoneFiberAngle when the
-    fiber angle is not strictly monotone along the loop (the slice is not
-    braided at this radius).
+    angle (KnotCurve.sheets), and every strand is evaluated at the fiber
+    angles of all the samples, taken mod 2 pi.  Between two of those
+    angles each strand is linear, so every exchange of real-part order is
+    found and the crossing sum is exact for the traced polygon; each
+    crossing is signed by the rotation sense of the chord.  Raises
+    NonMonotoneFiberAngle when the slice has no sheets (it is not braided
+    at this radius).
     """
-    q = k.samples
-    th = _closed_fiber_angles(q)
-    total = th[-1] - th[0]
-    if total < 0:
-        q = q[::-1]
-        th = _closed_fiber_angles(q)
-        total = th[-1] - th[0]
-    d = np.diff(th)
-    if np.any(d <= 0) or np.max(d) > 0.5 * math.pi:
-        raise NonMonotoneFiberAngle(
-            "fiber angle not strictly monotone along the slice")
-    n = int(round(total / (2.0 * math.pi)))
-    if n < 1 or abs(total - 2.0 * math.pi * n) > 0.01:
-        raise NonMonotoneFiberAngle(
-            f"fiber winding {total / (2 * math.pi):.4f} is not a positive integer")
-
+    q, th, n = k.sheets
     wf = q[:, 2] + 1j * q[:, 3]
     wf = np.append(wf, wf[0])
     base = th[0]
@@ -335,30 +353,6 @@ def _chord_polygon(path: np.ndarray, n: int):
     return path[idx], float(dev.max())
 
 
-def _min_strand_gap(k: KnotCurve) -> float:
-    """Least (x3,x4)-distance between distinct sheets at equal fiber angle.
-
-    The sheets are the turns of the unwrapped fiber angle; each sample is
-    compared with the other sheets at its own angle.  inf when there is one
-    sheet, or when the fiber angle is not strictly monotone with integer
-    winding, so that the sheets are not defined.
-    """
-    q = k.samples
-    fiber = q[:, 0] + 1j * q[:, 1]
-    th = np.unwrap(np.angle(np.append(fiber, fiber[0])))
-    th = th * np.sign(th[-1] - th[0])
-    total = th[-1] - th[0]
-    n = int(round(total / (2.0 * math.pi)))
-    if (n < 2 or abs(total - 2.0 * math.pi * n) > 0.01
-            or np.any(np.diff(th) <= 0)):
-        return math.inf
-    th = th[:-1]
-    wf = q[:, 2] + 1j * q[:, 3]
-    return min(float(np.min(np.abs(
-        wf - np.interp(th + 2.0 * math.pi * s, th, wf, period=total))))
-        for s in range(1, n))
-
-
 def _orthonormal_frame(p: np.ndarray) -> np.ndarray:
     """Completion (p i, p k, p j) of the unit vector p to a basis of R^4.
 
@@ -382,12 +376,11 @@ def _stereographic(x: np.ndarray, pole: np.ndarray, frame: np.ndarray) -> np.nda
 def linking_number_gauss(k: KnotCurve) -> float:
     """Linking number of the slice with its diagram-framing pushoff.
 
-    The pushoff displaces every sample by delta (a quarter of the least
-    gap between sheets, measured here from the samples, not from the
-    braid, or 0.05 where the sheets are not defined) in one fixed
-    direction of the (x3,x4)-plane and renormalizes to the sphere.  The
-    direction is one of _PUSHOFF_DIRECTIONS evenly spaced ones: each is
-    ranked by the least distance from its pushoff of every
+    The pushoff displaces every sample by delta (a quarter of the slice's
+    strand_gap, which the trace measured, or 0.05 with one sheet or none)
+    in one fixed direction of the (x3,x4)-plane and renormalizes to the
+    sphere.  The direction is one of _PUSHOFF_DIRECTIONS evenly spaced
+    ones: each is ranked by the least distance from its pushoff of every
     _PUSHOFF_STRIDE-th sample to the slice, and the best ranked one is
     taken.  Its clearance, the least distance from its full pushoff to
     the slice, must be at least 0.1 delta, or PushoffCollision is raised.
@@ -403,9 +396,7 @@ def linking_number_gauss(k: KnotCurve) -> float:
     raised.
     """
     q = k.samples
-
-    gap = _min_strand_gap(k)
-    delta = 0.05 if not math.isfinite(gap) else 0.25 * gap
+    delta = 0.05 if not math.isfinite(k.strand_gap) else 0.25 * k.strand_gap
 
     def pushoff(x, disp):
         y = x + delta * disp
@@ -485,8 +476,8 @@ _ETA_MIN = 1e-5
 def select_eta(w: WeierstrassData) -> KnotCurve:
     """Scan eta downward by halving until the slice braids on N strands.
 
-    Accepts the first eta from _ETA_START where the slice is traced, its
-    fiber angle is monotone and its winding is N, and returns that slice;
+    Accepts the first eta from _ETA_START where the slice is traced and
+    has sheets (KnotCurve.sheets) with winding N, and returns that slice;
     its `eta` is the accepted radius.  Any SliceFailure rejects an eta.
     When no radius down to _ETA_MIN is accepted, the TraceFailure names
     every eta tried and what rejected it.
@@ -496,7 +487,7 @@ def select_eta(w: WeierstrassData) -> KnotCurve:
     while eta >= _ETA_MIN:
         try:
             k = trace_slice(w, eta)
-            n = braid_from_knot(k).n_strands
+            n = k.sheets[2]
             if n == w.N:
                 return k
             rejected.append(f"{eta!r} (winding {n} != N = {w.N})")

@@ -770,24 +770,43 @@ class TestVerify:
                  k["self_linking"], {"1": k["margin_plus"], "-1": k["margin_minus"]})
                 == (v["eta"], v["e"], v["e_gauss"], v["sl"], v["margins_base"]))
 
-    @pytest.mark.parametrize("argv, traces", [
-        (["--input", str(DATA / "flat_plane.json")], 1),
-        (["--input", str(DATA / "cusp.json"), "--t", "0.005", "--seed", "1"], 2),
-    ], ids=["flat", "cusp-sampled"])
-    def test_scan_traces_the_base_slice_once(self, argv, traces, monkeypatch,
-                                             capsys):
+    @pytest.mark.parametrize("argv, traces, braids", [
+        (["verify", "--input", str(DATA / "flat_plane.json")], 1, 1),
+        (["verify", "--input", str(DATA / "cusp.json"), "--t", "0.005",
+          "--seed", "1"], 2, 2),
+        (["knot", "--input", str(DATA / "cusp.json")], 1, 1),
+    ], ids=["flat", "cusp-sampled", "knot-cusp"])
+    def test_scan_traces_the_base_slice_once(self, argv, traces, braids,
+                                             tmp_path, monkeypatch, capsys):
         # without --eta the scan's accepted slice is the base slice; a
-        # perturbed map adds the slice of the member
-        calls = 0
-        real = knot.trace_slice
+        # perturbed map adds the slice of the member.  The scan reads the
+        # winding off the slice's sheets, so each slice read is braided once
+        calls = {"trace_slice": 0, "braid_from_knot": 0}
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
+        def counted(name):
+            real = getattr(knot, name)
 
-        monkeypatch.setattr(knot, "trace_slice", counted)
-        rc = run("verify", *argv)
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(knot, name, counted(name))
+        rc = run(*argv, "--out-dir", str(tmp_path))
         assert rc == 0
-        assert "OK" in capsys.readouterr().out
-        assert calls == traces
+        captured = capsys.readouterr()
+        assert "OK" in captured.out or "winding=2 e=3" in captured.err
+        assert calls == {"trace_slice": traces, "braid_from_knot": braids}
+
+    def test_missing_t_is_refused_before_any_trace(self, monkeypatch, capsys):
+        # N = 2 and no --params: verify samples a member, which needs --t
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a slice was traced")
+
+        monkeypatch.setattr(knot, "trace_slice", no_trace)
+        rc = run("verify", "--input", str(DATA / "cusp.json"))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "SamplingExhausted: perturbation scale t must be finite and > 0, "
+            "got None\n")

@@ -315,7 +315,7 @@ class TestLinking:
         q = np.stack([np.zeros_like(th), np.zeros_like(th),
                       np.cos(th), np.sin(th)], axis=1)
         k = KnotCurve(samples=q, preimages=np.exp(1j * th), eta=1.0)
-        assert knot_module._min_strand_gap(k) == math.inf
+        assert k.strand_gap == math.inf
         with pytest.raises(PushoffCollision, match="delta=5.00e-02"):
             bk.linking_number_gauss(k)
 
@@ -354,9 +354,26 @@ class TestLinking:
         # the cusp's sheets sit at +/- z^3 / eta with |z|^4 + |z|^6 = eta^2,
         # so at equal fiber angle they are 2 |z|^3 / eta apart
         r = np.abs(cusp_knot.preimages).mean()
-        gap = knot_module._min_strand_gap(cusp_knot)
+        gap = cusp_knot.strand_gap
         assert abs(gap / (2 * r ** 3 / 1e-2) - 1) < 1e-4
-        assert knot_module._min_strand_gap(flat_knot) == math.inf
+        assert flat_knot.strand_gap == math.inf
+        # the mirrored loop's fiber angle falls; its sheets are read on the
+        # loop reversed back, so its gap is the original one
+        mirrored = KnotCurve(samples=cusp_knot.samples[::-1],
+                             preimages=cusp_knot.preimages[::-1], eta=1e-2)
+        assert abs(mirrored.strand_gap / gap - 1) <= 1e-15
+        # two sheets 0.6 apart whose fiber angle rises over two turns, but
+        # by 0.6 pi from the last sample back to the first: the braid
+        # refuses the slice, and the gap is not measured on it either
+        th = np.linspace(0, 3.4 * math.pi, 400)
+        c = 0.3 * np.exp(0.5j * th)
+        rho = math.sqrt(1 - 0.3 ** 2)
+        k = KnotCurve(samples=np.stack([rho * np.cos(th), rho * np.sin(th),
+                                        c.real, c.imag], axis=1),
+                      preimages=0.1 * np.exp(1j * th / 2), eta=0.1)
+        with pytest.raises(NonMonotoneFiberAngle, match="not strictly monotone"):
+            bk.braid_from_knot(k)
+        assert k.strand_gap == math.inf
 
     def test_pushoff_direction_is_ranked(self):
         # on this slice the pushoff in direction 0 of the (x3,x4)-plane
@@ -386,7 +403,7 @@ class TestLinking:
         k = KnotCurve(samples=np.stack([rho * np.cos(th), rho * np.sin(th),
                                         x3, 0 * x3], axis=1),
                       preimages=0.1 * np.exp(1j * th / 2), eta=0.1)
-        assert knot_module._min_strand_gap(k) < 1e-15
+        assert k.strand_gap < 1e-15
         with pytest.raises(PushoffCollision, match="2048-point polygon"):
             bk.linking_number_gauss(k)
 
