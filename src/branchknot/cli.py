@@ -17,9 +17,9 @@ its own as exit_code, directly or through its group:
   2  input validation failure (InputError, ValueError, OSError): a file that
      cannot be read or written, a document that is not a JSON object or
      lacks a key, a tangent plane or Gauss map asked for at a branch point,
-     a grid-n below 28, a double-points radius outside (0, 0.9], and a
-     conf_tol or eta not finite and > 0 included
-  3  sampling exhausted (SamplingExhausted; --t missing, or not finite and > 0)
+     a grid-n below 28, a double-points radius outside (0, 0.9], a conf_tol
+     or eta not finite and > 0, and a coefficient that is not finite included
+  3  sampling exhausted (SamplingExhausted; --t missing or not in (0, 1])
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
      SliceNotEmbedded, crossing-count routes that disagree,

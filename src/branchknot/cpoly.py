@@ -23,7 +23,7 @@ def complex_pairs(pairs, key: str) -> np.ndarray:
     array of the same length; trailing zeros are kept.
 
     Raises ValueError naming key when pairs is not a list, and key and
-    the index of the first entry that is not a pair of non-boolean numbers.
+    the index of the first entry that is not two finite, non-boolean numbers.
     """
     if not isinstance(pairs, list):
         raise ValueError(f"{key} must be a list of [re, im] pairs, "
@@ -38,6 +38,10 @@ def complex_pairs(pairs, key: str) -> np.ndarray:
         except (TypeError, ValueError):
             raise ValueError(f"{key}: coefficient {i} must be a pair [re, im] "
                              f"of numbers, got {pair!r}") from None
+        except OverflowError:  # an integer beyond the float range
+            out.append(complex(math.inf))
+        if not np.isfinite(out[-1]):
+            raise ValueError(f"{key}: coefficient {i} must be finite, got {pair!r}")
     return np.array(out, np.complex128)
 
 

@@ -88,7 +88,6 @@ class FamilyMember:
 
     base: WeierstrassData
     params: PerturbParams
-    h: tuple
     deformed: WeierstrassData
     reduced: bool
     relabel: tuple
@@ -96,7 +95,7 @@ class FamilyMember:
 
     def to_json_dict(self) -> dict:
         return {"params": self.params.to_json_dict(),
-                "h": [p.to_pairs() for p in self.h],
+                "h": [p.to_pairs() for p in self.deformed.fprime],
                 "reduced": self.reduced,
                 "relabel": list(self.relabel)}
 
@@ -105,39 +104,24 @@ class FamilyMember:
 # index relabeling
 # ---------------------------------------------------------------------------
 
-def _apply_perm(seq, perm):
-    return tuple(seq[p] for p in perm)
-
-
 def relabel_orders(w: WeierstrassData):
     """Permutation bringing data into the frame used by the recipes.
 
-    For full data: the minimal vanishing order moves to slot 1, using only
-    the swaps 1<->2, 3<->4 and the pair swap (1,2)<->(3,4); ties keep the
-    original index order.  For complex-curve data the zero components move
-    to slots 2 and 4 and the lower-order nonzero component to slot 1.
+    Slot 1 takes the component of least (order, index) and slot 2 its
+    pair partner; slots 3 and 4 take the other pair, a nonzero component
+    before a zero one and ties in index order.  So complex-curve data has
+    its zero components in slots 2 and 4, and the rule is idempotent.
     Returns (relabeled data, perm) with perm[i] = original slot in slot i.
     """
-    zeros = [i for i in range(4) if w.fprime[i].is_zero]
-    if len(zeros) == 0:
-        imin = min(range(4), key=lambda i: (w.orders[i], i))
-        perm = {0: (0, 1, 2, 3), 1: (1, 0, 2, 3),
-                2: (2, 3, 0, 1), 3: (3, 2, 0, 1)}[imin]
-    elif len(zeros) == 2:
-        p = [0, 1, 2, 3]
-        if w.fprime[p[0]].is_zero:
-            p[0], p[1] = p[1], p[0]
-        if w.fprime[p[2]].is_zero:
-            p[2], p[3] = p[3], p[2]
-        if w.fprime[p[0]].is_zero or w.fprime[p[2]].is_zero:
-            raise ValueError("both zero components lie in one coordinate pair")
-        if w.orders[p[2]] < w.orders[p[0]]:
-            p = [p[2], p[3], p[0], p[1]]
-        perm = tuple(p)
-    else:
+    zero = [p.is_zero for p in w.fprime]
+    if sum(zero) not in (0, 2):
         raise ValueError("family construction needs at least f1' and f3' nonzero "
-                         f"after normalization (got {4 - len(zeros)} nonzero)")
-
+                         f"after normalization (got {4 - sum(zero)} nonzero)")
+    i = min(range(4), key=lambda k: (w.orders[k], k))
+    other_pair = [k for k in range(4) if k // 2 != i // 2]
+    perm = (i, i ^ 1, *sorted(other_pair, key=lambda k: (zero[k], k)))
+    if zero[perm[2]]:
+        raise ValueError("both zero components lie in one coordinate pair")
     if perm == (0, 1, 2, 3):
         return w, perm
     inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
@@ -148,7 +132,7 @@ def relabel_orders(w: WeierstrassData):
         warnings.warn("order relabeling reflects one coordinate plane; braid "
                       "sign conventions apply in the relabeled frame",
                       stacklevel=2)
-    relabeled = load(_apply_perm(w.fprime, perm), conf_tol=w.conf_tol)
+    relabeled = load(tuple(w.fprime[k] for k in perm), conf_tol=w.conf_tol)
     return relabeled, perm
 
 
@@ -156,19 +140,25 @@ def relabel_orders(w: WeierstrassData):
 # family construction
 # ---------------------------------------------------------------------------
 
-def _monic_factor(n: int, coeffs: np.ndarray) -> CPoly:
-    if coeffs.size != n + 1:
-        raise ValueError(f"parameter vector must have length {n + 1}, "
-                         f"got {coeffs.size}")
-    return CPoly.monomial(n) + CPoly(coeffs)
-
-
 def _pb_slot(base: WeierstrassData, orientation: int) -> int:
     """Index of the slot whose factor is PB: 2 (f3') for orientation + and
     for complex-curve data, 3 (f4') for orientation -.  The other slot of
     the second pair takes the shifted PA."""
     reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
     return 2 if (reduced or orientation > 0) else 3
+
+
+def _factors(base: WeierstrassData, p: PerturbParams) -> tuple:
+    """The monic factors (PA, PB) of p in base's frame: z^n1 + sum a_i z^i
+    and z^n + sum b_i z^i, n the order of the slot _pb_slot names."""
+    out = []
+    for n, coeffs in ((base.orders[0], p.A),
+                      (base.orders[_pb_slot(base, p.orientation)], p.B)):
+        if coeffs.size != n + 1:
+            raise ValueError(f"parameter vector must have length {n + 1}, "
+                             f"got {coeffs.size}")
+        out.append(CPoly.monomial(n) + CPoly(coeffs))
+    return tuple(out)
 
 
 def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
@@ -198,19 +188,15 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
             warnings.warn("shift exponent is zero; the quadratic lower bound "
                           "for the pair-separation determinant is not "
                           "guaranteed", stacklevel=2)
-    PA = _monic_factor(n[0], p.A)
-    PB = _monic_factor(n[ib], p.B)
+    PA, PB = _factors(base, p)
     h = [PA * g[0], CPoly.monomial(eb) * PB * g[1], None, None]
     h[ib] = PB * g[ib]
     h[ia] = CPoly.monomial(ea) * PA * g[ia]
-    h = tuple(h)
     det_polys = (g[0].antiderivative(),
                  (CPoly.monomial(ea) * g[ia]).antiderivative(),
                  (CPoly.monomial(eb) * g[1]).antiderivative(),
                  g[ib].antiderivative())
-
-    deformed = load(h, conf_tol=1e-12)
-    return FamilyMember(base=base, params=p, h=h, deformed=deformed,
+    return FamilyMember(base=base, params=p, deformed=load(h, conf_tol=1e-12),
                         reduced=reduced, relabel=perm, det_polys=det_polys)
 
 
@@ -231,9 +217,7 @@ def check_X1(p: PerturbParams, w: WeierstrassData) -> bool:
     """
     base, _ = relabel_orders(w)
     roots = []
-    for n, vec in ((base.orders[0], p.A),
-                   (base.orders[_pb_slot(base, p.orientation)], p.B)):
-        poly = _monic_factor(n, vec)
+    for poly in _factors(base, p):
         if poly.degree >= 1:
             roots.extend(poly.roots())
     for i, r in enumerate(roots):
@@ -253,11 +237,13 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     the deformed map has no branch point in the unit disk, and every
     double point the grid-32 search finds in |z| <= 0.5 is transverse.
     Deterministic for a fixed seed.  Raises SamplingExhausted when t is
-    None or not finite and > 0, or no draw of the _MAX_DRAWS passes.
+    None, not finite and > 0 or above 1, or no draw of the _MAX_DRAWS passes.
     """
     if t is None or not (math.isfinite(t) and t > 0):
         raise SamplingExhausted(
             f"perturbation scale t must be finite and > 0, got {t}")
+    if t > 1:
+        raise SamplingExhausted(f"perturbation scale t must be at most 1, got {t}")
     base, _ = relabel_orders(w)
     na, nb = base.orders[0], base.orders[_pb_slot(base, orientation)]
 
@@ -272,7 +258,7 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     for _ in range(_MAX_DRAWS):
         p = PerturbParams(A=ball(na + 1), B=ball(nb + 1),
                           orientation=orientation, t=t)
-        if not check_X1(p, w):
+        if not check_X1(p, base):
             continue
         fm = build_family_member(w, p)
         if branch_points(fm.deformed):

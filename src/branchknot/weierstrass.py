@@ -14,8 +14,9 @@ the self-dual and anti-self-dual parts of the reference plane e12,
 H0 = (e12 + e34)/sqrt2 and K0 = (e12 - e34)/sqrt2.
 
 Input data is assumed pre-normalized: branch point at z = 0, image of 0
-at the origin, tangent cone the (x1,x2)-plane.  No automatic rotation
-into this normal form is attempted; a dominance check warns instead.
+at the origin, tangent cone the (x1,x2)-plane.  No rotation into this
+normal form is attempted (a dominance check warns); family members only
+permute coordinates, least order first (deformation.relabel_orders).
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ def test_criterion_09_invariant_suite(cusp, torus5, ex4, cusp_member,
                                          orientation=orientation))
     worst = 0.0
     for fm in members:
-        scale = max(1.0, max(q.max_abs_coeff() for q in fm.h) ** 2)
+        scale = max(1.0, max(q.max_abs_coeff()
+                             for q in fm.deformed.fprime) ** 2)
         worst = max(worst, fm.deformed.conformality_residual() / scale)
         assert fm.deformed.conformality_residual() <= 1e-12 * scale
 

@@ -56,7 +56,13 @@ BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
             "number_for_A.json": {"A": 5, "B": [[0, 0]] * 3},
             "bool_in_fprime.json": {"fprime": [[[0, 0], [True, 0]], [],
                                                [[0, 0], [0, 0], [3, 0]], []]},
-            "number_for_fprime.json": {"fprime": 5}}
+            "number_for_fprime.json": {"fprime": 5},
+            "nan_in_fprime.json": {"fprime": [[[0, 0], [math.nan, 0]], [],
+                                              [[0, 0], [0, 0], [3, 0]], []]},
+            "infinity_in_A.json": {"A": [[0, 0], [math.inf, 0]],
+                                   "B": [[0, 0]] * 3},
+            "huge_int_in_fprime.json": {"fprime": [[[0, 0], [10 ** 400, 0]], [],
+                                                   [[0, 0], [0, 0], [3, 0]], []]}}
 
 
 class TestBadFiles:
@@ -98,12 +104,23 @@ class TestBadFiles:
          ["bool_in_fprime.json", "fprime[0]: coefficient 1", "[True, 0]"]),
         (["analyze", "--input", "{tmp}/number_for_fprime.json"],
          ["number_for_fprime.json", "fprime must be a list of four", "got 5"]),
+        (["analyze", "--input", "{tmp}/nan_in_fprime.json"],
+         ["nan_in_fprime.json", "fprime[0]: coefficient 1", "finite", "[nan, 0]"]),
+        (["verify", "--input", "{tmp}/nan_in_fprime.json", "--t", "0.005",
+          "--eta", "0.05"],
+         ["nan_in_fprime.json", "fprime[0]: coefficient 1", "finite"]),
+        (["verify", "--input", "{data}/cusp.json",
+          "--params", "{tmp}/infinity_in_A.json"],
+         ["infinity_in_A.json", "A: coefficient 1", "finite", "[inf, 0]"]),
+        (["analyze", "--input", "{tmp}/huge_int_in_fprime.json"],
+         ["huge_int_in_fprime.json", "fprime[0]: coefficient 1", "finite"]),
     ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
             "params-without-A", "out-dir-under-file", "short-coefficient-pair",
             "orientation-string", "orientation-number", "long-pair-in-params",
             "short-pair-in-params", "non-number-in-params",
             "non-number-in-fprime", "number-for-a-vector", "bool-in-fprime",
-            "number-for-fprime"])
+            "number-for-fprime", "nan-in-fprime", "nan-in-fprime-verify",
+            "infinity-in-params", "integer-beyond-float-in-fprime"])
     def test_exit_code(self, argv, named, tmp_path, capsys):
         for name, doc in BAD_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -337,6 +354,17 @@ class TestDeform:
             err = capsys.readouterr().err
             assert "finite and > 0" in err
             assert "LinAlgError" not in err and "RuntimeWarning" not in err
+
+    def test_scale_above_one_exit_code(self, capsys):
+        # the parameter domain is the product of unit balls: a scale above 1
+        # is refused whatever the seed, not only when a draw leaves the balls
+        for seed in ("1", "6"):
+            rc = run("deform", "--input", str(DATA / "cusp.json"),
+                     "--t", "1.05", "--seed", seed)
+            assert rc == 3
+            assert capsys.readouterr().err == (
+                "SamplingExhausted: perturbation scale t must be at most 1, "
+                "got 1.05\n")
 
     def test_member_files(self, tmp_path, capsys):
         rc = run("deform", "--input", str(DATA / "four_function.json"),

@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +57,7 @@ class TestBuild:
     def test_zero_params_reproduce_base(self, ex4):
         p = bk.PerturbParams(A=[0, 0], B=[0, 0, 0], orientation=+1, t=0.0)
         fm = bk.build_family_member(ex4, p)
-        for h, f in zip(fm.h, ex4.fprime):
+        for h, f in zip(fm.deformed.fprime, ex4.fprime):
             assert coeffs_equal(h, f)
         for a, b in zip(fm.deformed.f, ex4.f):
             assert coeffs_equal(a, b)
@@ -64,11 +67,12 @@ class TestBuild:
         p = bk.PerturbParams(A=[a0, 0], B=[b0, 0, 0], orientation=+1, t=0.05)
         fm = bk.build_family_member(ex4, p)
         # base factors: g = (1, -1, 1, 1), orders (1, 3, 2, 2)
-        assert coeffs_equal(fm.h[0], CPoly([a0, 1]))
-        assert coeffs_equal(fm.h[1], CPoly([0, -b0, 0, -1]))
-        assert coeffs_equal(fm.h[2], CPoly([b0, 0, 1]))
-        assert coeffs_equal(fm.h[3], CPoly([0, a0, 1]))
-        prod = fm.h[0] * fm.h[1] + fm.h[2] * fm.h[3]
+        assert coeffs_equal(fm.deformed.fprime[0], CPoly([a0, 1]))
+        assert coeffs_equal(fm.deformed.fprime[1], CPoly([0, -b0, 0, -1]))
+        assert coeffs_equal(fm.deformed.fprime[2], CPoly([b0, 0, 1]))
+        assert coeffs_equal(fm.deformed.fprime[3], CPoly([0, a0, 1]))
+        prod = (fm.deformed.fprime[0] * fm.deformed.fprime[1]
+                + fm.deformed.fprime[2] * fm.deformed.fprime[3])
         assert prod.max_abs_coeff() <= 1e-15
 
     def test_reduced_cusp_recipe(self, cusp):
@@ -79,15 +83,15 @@ class TestBuild:
         # perturbed curve (z^2, z^3 - 3 t^2 z)
         assert coeffs_equal(fm.deformed.f[0], CPoly([0, 0, 1]))
         assert coeffs_equal(fm.deformed.f[2], CPoly([0, -3 * t * t, 0, 1]))
-        assert fm.h[1].is_zero and fm.h[3].is_zero
+        assert fm.deformed.fprime[1].is_zero and fm.deformed.fprime[3].is_zero
 
     def test_negative_orientation_member(self, ex4):
         p = bk.PerturbParams(A=[0.01, 0], B=[0.02, 0, 0], orientation=-1, t=0.05)
         fm = bk.build_family_member(ex4, p)
         # h2 = z^(n2-n4) PB g2 = -z(z^2 + 0.02), h3 = z^(n3-n1) PA g3
-        assert coeffs_equal(fm.h[1], CPoly([0, -0.02, 0, -1]))
-        assert coeffs_equal(fm.h[2], CPoly([0, 0.01, 1]))
-        assert coeffs_equal(fm.h[3], CPoly([0.02, 0, 1]))
+        assert coeffs_equal(fm.deformed.fprime[1], CPoly([0, -0.02, 0, -1]))
+        assert coeffs_equal(fm.deformed.fprime[2], CPoly([0, 0.01, 1]))
+        assert coeffs_equal(fm.deformed.fprime[3], CPoly([0.02, 0, 1]))
 
     def test_param_length_validation(self, ex4):
         with pytest.raises(ValueError):
@@ -107,7 +111,8 @@ class TestBuild:
                     B=0.05 * (rng.standard_normal(nb) + 1j * rng.standard_normal(nb)),
                     orientation=orientation, t=0.05)
                 fm = bk.build_family_member(w, p)
-                scale = max(1.0, max(q.max_abs_coeff() for q in fm.h) ** 2)
+                scale = max(1.0, max(q.max_abs_coeff()
+                                     for q in fm.deformed.fprime) ** 2)
                 assert fm.deformed.conformality_residual() <= 1e-12 * scale
 
     def test_relabeling_reordered_input(self):
@@ -136,8 +141,101 @@ def test_members_stay_conformal(bases, draw):
     for w in caught:
         assert "not in branch normal form" in str(w.message)
         assert fm.deformed.N > 1
-    scale = max(1.0, max(q.max_abs_coeff() for q in fm.h) ** 2)
+    scale = max(1.0, max(q.max_abs_coeff()
+                         for q in fm.deformed.fprime) ** 2)
     assert fm.deformed.conformality_residual() <= 1e-12 * scale
+
+
+@dataclass(frozen=True)
+class StubPoly:
+    """A component known only by its vanishing order (inf: zero)."""
+
+    order: float
+
+    @property
+    def is_zero(self):
+        return self.order == math.inf
+
+
+@dataclass(frozen=True)
+class StubData:
+    fprime: tuple
+    conf_tol: float = 1e-10
+
+    @property
+    def orders(self):
+        return tuple(p.order for p in self.fprime)
+
+
+def stub_load(fprime, conf_tol=1e-10):
+    return StubData(tuple(fprime), conf_tol)
+
+
+def reference_relabel(w):
+    """The relabel rule as it stood with a lookup table for full data and
+    swaps for complex curves; the reference for relabel_orders."""
+    zeros = [i for i in range(4) if w.fprime[i].is_zero]
+    if len(zeros) == 0:
+        imin = min(range(4), key=lambda i: (w.orders[i], i))
+        perm = {0: (0, 1, 2, 3), 1: (1, 0, 2, 3),
+                2: (2, 3, 0, 1), 3: (3, 2, 0, 1)}[imin]
+    elif len(zeros) == 2:
+        p = [0, 1, 2, 3]
+        if w.fprime[p[0]].is_zero:
+            p[0], p[1] = p[1], p[0]
+        if w.fprime[p[2]].is_zero:
+            p[2], p[3] = p[3], p[2]
+        if w.fprime[p[0]].is_zero or w.fprime[p[2]].is_zero:
+            raise ValueError("both zero components lie in one coordinate pair")
+        if w.orders[p[2]] < w.orders[p[0]]:
+            p = [p[2], p[3], p[0], p[1]]
+        perm = tuple(p)
+    else:
+        raise ValueError("family construction needs at least f1' and f3' nonzero "
+                         f"after normalization (got {4 - len(zeros)} nonzero)")
+
+    if perm == (0, 1, 2, 3):
+        return w, perm
+    inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
+                     if perm[i] > perm[j])
+    if inversions % 2:
+        warnings.warn("order relabeling reflects one coordinate plane; braid "
+                      "sign conventions apply in the relabeled frame",
+                      stacklevel=2)
+    return stub_load(tuple(w.fprime[p] for p in perm), conf_tol=w.conf_tol), perm
+
+
+def relabel_outcome(rule, w):
+    """(relabeled data or None, perm or error text, number of warnings)
+    of one relabel call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            relabeled, result = rule(w)
+        except ValueError as exc:
+            relabeled, result = None, str(exc)
+    return relabeled, result, len(caught)
+
+
+def test_relabel_rule_matches_reference(monkeypatch):
+    # every pattern of orders in {inf, 0, 1, 2, 3}^4 but the all-zero one,
+    # on stub data so that patterns load would refuse are covered too
+    monkeypatch.setattr(deformation, "load", stub_load)
+    patterns = [o for o in itertools.product((math.inf, 0, 1, 2, 3), repeat=4)
+                if o != (math.inf,) * 4]
+    assert len(patterns) == 624
+    accepted = 0
+    for orders in patterns:
+        w = stub_load(StubPoly(o) for o in orders)
+        relabeled, perm, n_warnings = relabel_outcome(relabel_orders, w)
+        assert (relabeled, perm, n_warnings) == \
+            relabel_outcome(reference_relabel, w), orders
+        if relabeled is not None:
+            accepted += 1
+            assert relabeled.orders == tuple(orders[k] for k in perm)
+            assert relabel_outcome(relabel_orders, relabeled) == \
+                (relabeled, (0, 1, 2, 3), 0)
+    assert accepted == 320
 
 
 class TestContinuity:
