@@ -34,7 +34,6 @@ from .knot import (
     linking_number_gauss,
     read_slice,
     select_eta,
-    self_linking,
     trace_slice,
     verify_double_point_formula,
 )

@@ -18,7 +18,9 @@ its own as exit_code, directly or through its group:
      cannot be read or written, a document that is not a JSON object or
      lacks a key, a tangent plane or Gauss map asked for at a branch point,
      a grid-n below 28, a double-points radius outside (0, 0.9], a conf_tol
-     or eta not finite and > 0, and a coefficient that is not finite included
+     or eta not finite and > 0, a conf_tol or t that is not a finite number
+     (a boolean, a string or null included), a t outside [0, 1], a negative
+     --seed, and a coefficient that is not finite included
   3  sampling exhausted (SamplingExhausted; --t missing or not in (0, 1])
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
@@ -60,21 +62,21 @@ def _dump(obj, path: Path | None, as_json: bool):
 def _read_document(path: str, build, key: str):
     """build(the JSON document in path).
 
-    A document that build cannot read, because it lacks a key or is not
-    a JSON object, raises ValueError naming path and the key; a value
-    that build refuses raises ValueError naming path.
+    A document that is not a JSON object raises ValueError naming path
+    and the key build needs; one that lacks a key, or has a value that
+    build refuses, raises ValueError naming path.
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object with key {key!r}, "
+                         f"got {type(data).__name__}")
     try:
         return build(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: malformed document ({exc}); expected a "
-                         f"JSON object with key {key!r}") from None
 
 
 def _load_input(args) -> WeierstrassData:
@@ -165,13 +167,12 @@ def cmd_double_points(args) -> int:
 
 def cmd_knot(args) -> int:
     k, b, e, lk = knot.read_slice(_load_map(args), args.eta)
-    knot.check_crossing_routes(e, lk)
     report = {
         "eta": k.eta,
         "n_strands": b.n_strands,
         "crossing_sum": e,
         "linking_gauss": lk,
-        "self_linking": knot.self_linking(e, b.n_strands),
+        "self_linking": e - b.n_strands,
         "margin_plus": knot.contact_transversality_margin(k, +1),
         "margin_minus": knot.contact_transversality_margin(k, -1),
         "samples": int(k.samples.shape[0]),

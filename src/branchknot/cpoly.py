@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CPoly", "complex_pairs"]
+__all__ = ["CPoly", "complex_pairs", "real_number"]
 
 _ROOT_RESIDUAL_TOL = 1e-6
 
@@ -43,6 +43,23 @@ def complex_pairs(pairs, key: str) -> np.ndarray:
         if not np.isfinite(out[-1]):
             raise ValueError(f"{key}: coefficient {i} must be finite, got {pair!r}")
     return np.array(out, np.complex128)
+
+
+def real_number(value, key: str, rule: str, lo: float = -math.inf,
+                hi: float = math.inf) -> float:
+    """value, a JSON number that is not a boolean, as a float.
+
+    Raises ValueError "{key} must be {rule}, got {value!r}" when value is
+    not such a number, is not finite or lies outside [lo, hi].
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+    return x
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import CPoly, complex_pairs
+from .cpoly import CPoly, complex_pairs, real_number
 from .errors import SamplingExhausted
 from .intersect import find_double_points
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, load
@@ -68,7 +68,8 @@ class PerturbParams:
                              f"got {orientation!r}")
         return cls(A=complex_pairs(d["A"], "A"), B=complex_pairs(d["B"], "B"),
                    orientation=+1 if orientation == "+" else -1,
-                   t=float(d.get("t", 0.0)))
+                   t=real_number(d.get("t", 0.0), "t", "a finite number in [0, 1]",
+                                 0.0, 1.0))
 
     def to_json_dict(self) -> dict:
         return {"A": [[c.real, c.imag] for c in self.A],
@@ -236,9 +237,12 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     A draw is accepted when the monic factors have simple nonzero roots,
     the deformed map has no branch point in the unit disk, and every
     double point the grid-32 search finds in |z| <= 0.5 is transverse.
-    Deterministic for a fixed seed.  Raises SamplingExhausted when t is
-    None, not finite and > 0 or above 1, or no draw of the _MAX_DRAWS passes.
+    Deterministic for a fixed seed.  Raises ValueError for a negative
+    rng_seed, and SamplingExhausted when t is None, not finite and > 0 or
+    above 1, or no draw of the _MAX_DRAWS passes.
     """
+    if rng_seed < 0:
+        raise ValueError(f"sampler seed must be a non-negative integer, got {rng_seed}")
     if t is None or not (math.isfinite(t) and t > 0):
         raise SamplingExhausted(
             f"perturbation scale t must be finite and > 0, got {t}")

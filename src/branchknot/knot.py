@@ -13,8 +13,8 @@ the fiber angles of the samples themselves, so the count is exact for
 the traced polygon, and as a linking number with a pushoff copy, an
 exact solid-angle sum over two polygons after stereographic projection,
 with polygons sized from the pushoff clearance.  The two routes share
-only the slice samples and the slice's sheets and strand_gap; the Gauss
-route reads only the gap, which sizes its pushoff, not the sheets.
+the slice samples, its sheets and its strand table (KnotCurve.strands);
+the Gauss route reads those two only through strand_gap, its pushoff size.
 
 Crossing sign convention (fixed project-wide, right-handed): a crossing
 where the chord between the two strands rotates counterclockwise in the
@@ -57,7 +57,7 @@ from .weierstrass import WeierstrassData, _complex_F, branch_points, evaluate_F
 
 __all__ = ["KnotCurve", "BraidDiagram", "trace_slice", "braid_from_knot",
            "algebraic_crossing_number",
-           "linking_number_gauss", "check_crossing_routes", "self_linking",
+           "linking_number_gauss", "check_crossing_routes",
            "contact_transversality_margin", "select_eta", "read_slice",
            "verify_double_point_formula", "VerifyReport"]
 
@@ -103,20 +103,30 @@ class KnotCurve:
         return q, closed, n
 
     @functools.cached_property
+    def strands(self) -> tuple:
+        """(grid, table): the fiber angles of the samples (sheets order) mod
+        2 pi from the first one's, closed by it plus 2 pi, and each sheet's
+        x3 + i x4 on that grid, a row ending on the next row's first value,
+        bit for bit, so that a crossing at the base angle is seen once."""
+        q, th, n = self.sheets
+        wf = q[:, 2] + 1j * q[:, 3]
+        wf = np.append(wf, wf[0])
+        grid = th[0] + np.append(np.unique(np.mod(th[:-1] - th[0], 2.0 * math.pi)),
+                                 2.0 * math.pi)
+        table = np.interp(grid + 2.0 * math.pi * np.arange(n)[:, None], th, wf)
+        table[:, -1] = np.roll(table[:, 0], -1)
+        return grid, table
+
+    @functools.cached_property
     def strand_gap(self) -> float:
-        """Least (x3,x4)-distance of a sample from the other sheets at its
-        fiber angle; inf with one sheet, or none (sheets raises)."""
+        """Least (x3,x4)-distance between two strands of the strand table
+        at one fiber angle; inf with one sheet, or none (sheets raises)."""
         try:
-            q, th, n = self.sheets
+            table = self.strands[1]
         except NonMonotoneFiberAngle:
             return math.inf
-        if n < 2:
-            return math.inf
-        total, th = th[-1] - th[0], th[:-1]
-        wf = q[:, 2] + 1j * q[:, 3]
-        return min(float(np.min(np.abs(
-            wf - np.interp(th + 2.0 * math.pi * s, th, wf, period=total))))
-            for s in range(1, n))
+        a, b = np.triu_indices(len(table), 1)
+        return float(np.abs(table[a] - table[b]).min(initial=math.inf))
 
     def to_csv(self, fh) -> None:
         """Columns: theta, x1..x4, z_re, z_im (theta = fiber angle).
@@ -262,26 +272,15 @@ def trace_slice(w: WeierstrassData, eta: float) -> KnotCurve:
 def braid_from_knot(k: KnotCurve) -> BraidDiagram:
     """Present the slice as a braid over the fiber angle.
 
-    The loop is cut into N strands, one per turn of its unwrapped fiber
-    angle (KnotCurve.sheets), and every strand is evaluated at the fiber
-    angles of all the samples, taken mod 2 pi.  Between two of those
-    angles each strand is linear, so every exchange of real-part order is
-    found and the crossing sum is exact for the traced polygon; each
-    crossing is signed by the rotation sense of the chord.  Raises
-    NonMonotoneFiberAngle when the slice has no sheets (it is not braided
-    at this radius).
+    The strands are the slice's strand table (KnotCurve.strands), one per
+    sheet at the fiber angles of all the samples; the braid interpolates
+    nothing.  Between two of those angles each strand is linear, so every
+    exchange of real-part order is found and the crossing sum is exact
+    for the traced polygon; each crossing is signed by the rotation sense
+    of the chord.  NonMonotoneFiberAngle when the slice has no sheets.
     """
-    q, th, n = k.sheets
-    wf = q[:, 2] + 1j * q[:, 3]
-    wf = np.append(wf, wf[0])
-    base = th[0]
-    grid = base + np.append(np.unique(np.mod(th[:-1] - base, 2.0 * math.pi)),
-                            2.0 * math.pi)
-    strands = [np.interp(grid + 2.0 * math.pi * s, th, wf) for s in range(n)]
-    # the wrap value is the next strand's first one, bit for bit, so that a
-    # crossing at the base angle is seen once, by one of the two strand pairs
-    for s in range(n):
-        strands[s][-1] = strands[(s + 1) % n][0]
+    grid, strands = k.strands
+    n = len(strands)
 
     crossings = []
     for a in range(n):
@@ -320,11 +319,6 @@ def check_crossing_routes(e: int, lk: float) -> None:
         gauss = 0.0 if abs(lk) < 0.0005 else lk  # no sign on a residue
         raise CrossingRoutesDisagree(
             f"crossing-count routes disagree: braid {e}, gauss {gauss:.3f}")
-
-
-def self_linking(e: int, N: int) -> int:
-    """Transverse self-linking number from the crossing sum and strand count."""
-    return int(e) - int(N)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +495,13 @@ def select_eta(w: WeierstrassData) -> KnotCurve:
 def read_slice(w: WeierstrassData, eta: float | None = None) -> tuple:
     """(slice, braid, e, Gauss sum) of w's slice at eta, or of the one
     select_eta accepts when eta is None, traced once either way; e is the
-    braid's crossing sum, to be compared by check_crossing_routes."""
+    braid's crossing sum.  CrossingRoutesDisagree unless the Gauss sum
+    agrees with e (check_crossing_routes, called here alone)."""
     k = select_eta(w) if eta is None else trace_slice(w, eta)
     b = braid_from_knot(k)
-    return k, b, algebraic_crossing_number(b), linking_number_gauss(k)
+    e, lk = algebraic_crossing_number(b), linking_number_gauss(k)
+    check_crossing_routes(e, lk)
+    return k, b, e, lk
 
 
 @dataclass
@@ -578,14 +575,13 @@ def _search(deformed: WeierstrassData, k_def: KnotCurve, grid_n: int) -> tuple:
 
 
 def _judge(N: int, read, dps: list, D: int, k_def: KnotCurve | None) -> VerifyReport:
-    """The report on read (read_slice's base slice) and the perturbed slice
-    k_def (None for an unperturbed map), or a raise, in this order:
-    FormulaViolation for a winding not N, CrossingRoutesDisagree, and
-    FormulaViolation when 2D != e - (N-1) or k_def's crossing sum is not e.
-    A FormulaViolation carries the report, its message as the last note."""
+    """The report on read (read_slice's base slice, its routes agreeing)
+    and the perturbed slice k_def (None for an unperturbed map), or a
+    FormulaViolation carrying it, its message as the last note, for a
+    winding not N, then 2D != e - (N-1), then k_def's crossing sum not e."""
     k, b, e, lk = read
     report = VerifyReport(
-        N=N, D=D, D_total=len(dps), e=e, e_gauss=lk, sl=self_linking(e, N),
+        N=N, D=D, D_total=len(dps), e=e, e_gauss=lk, sl=e - N,
         identity_ok=(2 * D == e - (N - 1)),
         margins_base={+1: contact_transversality_margin(k, +1),
                       -1: contact_transversality_margin(k, -1)},
@@ -593,15 +589,13 @@ def _judge(N: int, read, dps: list, D: int, k_def: KnotCurve | None) -> VerifyRe
     violation = None
     if b.n_strands != N:
         violation = f"slice winding {b.n_strands} != N = {N}"
-    else:
-        check_crossing_routes(e, lk)
-        if not report.identity_ok:
-            violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
-        elif k_def is not None:
-            report.e_deformed = algebraic_crossing_number(braid_from_knot(k_def))
-            report.isotopy_ok = (report.e_deformed == e)
-            if not report.isotopy_ok:
-                violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
+    elif not report.identity_ok:
+        violation = f"2D = {2 * D} differs from e - (N-1) = {e - (N - 1)}"
+    elif k_def is not None:
+        report.e_deformed = algebraic_crossing_number(braid_from_knot(k_def))
+        report.isotopy_ok = (report.e_deformed == e)
+        if not report.isotopy_ok:
+            violation = f"perturbed slice crossing sum {report.e_deformed} != {e}"
     if violation is not None:
         report.notes.append(violation)
         raise FormulaViolation(violation, report)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import CPoly
+from .cpoly import CPoly, real_number
 from .errors import (
     ConformalityViolation,
     DegeneratePlane,
@@ -82,7 +82,9 @@ class WeierstrassData:
                              f"lists, got {d['fprime']!r}")
         fprime = tuple(CPoly.from_pairs(p, f"fprime[{i}]")
                        for i, p in enumerate(d["fprime"]))
-        return load(fprime, conf_tol=float(d.get("conf_tol", 1e-10)))
+        # a number that is not finite is refused here, one <= 0 by load
+        return load(fprime, conf_tol=real_number(d.get("conf_tol", 1e-10),
+                                                 "conf_tol", "finite and positive"))
 
     def to_json_dict(self) -> dict:
         return {"fprime": [p.to_pairs() for p in self.fprime],

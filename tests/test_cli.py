@@ -63,6 +63,17 @@ BAD_DOCS = {"no_fprime.json": {"conf_tol": 1e-10}, "a_list.json": [1, 2],
                                    "B": [[0, 0]] * 3},
             "huge_int_in_fprime.json": {"fprime": [[[0, 0], [10 ** 400, 0]], [],
                                                    [[0, 0], [0, 0], [3, 0]], []]}}
+# cusp parameters with a t that is not a finite number in [0, 1]
+BAD_DOCS.update({f"t_{name}.json": {"A": [[0, 0]] * 2, "B": [[0, 0]] * 3, "t": t}
+                 for name, t in (("true", True), ("nan", math.nan),
+                                 ("string", "1.5"), ("word", "x"),
+                                 ("above_one", 1.5))})
+# a map whose conformality residual 2e-2 the default conf_tol refuses, with
+# a conf_tol that is not a finite number
+BAD_DOCS.update({f"conf_tol_{name}.json": {
+    "fprime": [[[0, 0], [2, 0]], [[0, 0], [0.01, 0]], [[0, 0], [0, 0], [3, 0]], []],
+    "conf_tol": c} for name, c in (("true", True), ("string", "0.5"),
+                                   ("null", None))})
 
 
 class TestBadFiles:
@@ -114,13 +125,30 @@ class TestBadFiles:
          ["infinity_in_A.json", "A: coefficient 1", "finite", "[inf, 0]"]),
         (["analyze", "--input", "{tmp}/huge_int_in_fprime.json"],
          ["huge_int_in_fprime.json", "fprime[0]: coefficient 1", "finite"]),
+        (["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+          "--params", "{tmp}/a_list.json"],
+         ["a_list.json", "expected a JSON object with key 'A'"]),
+        (["verify", "--input", "{data}/cusp.json",
+          "--params", "{tmp}/a_list.json"],
+         ["a_list.json", "expected a JSON object with key 'A'"]),
+        *[(["knot", "--input", "{data}/cusp.json", "--eta", "0.01",
+            "--params", f"{{tmp}}/t_{name}.json"],
+           [f"t_{name}.json", "t must be a finite number in [0, 1]", got])
+          for name, got in (("true", "True"), ("nan", "nan"), ("string", "'1.5'"),
+                            ("word", "'x'"), ("above_one", "1.5"))],
+        *[(["analyze", "--input", f"{{tmp}}/conf_tol_{name}.json"],
+           [f"conf_tol_{name}.json", "conf_tol must be finite and positive", got])
+          for name, got in (("true", "True"), ("string", "'0.5'"), ("null", "None"))],
     ], ids=["missing-input", "no-fprime", "list-input", "missing-params",
             "params-without-A", "out-dir-under-file", "short-coefficient-pair",
             "orientation-string", "orientation-number", "long-pair-in-params",
             "short-pair-in-params", "non-number-in-params",
             "non-number-in-fprime", "number-for-a-vector", "bool-in-fprime",
             "number-for-fprime", "nan-in-fprime", "nan-in-fprime-verify",
-            "infinity-in-params", "integer-beyond-float-in-fprime"])
+            "infinity-in-params", "integer-beyond-float-in-fprime",
+            "list-params", "list-params-verify", "bool-t", "nan-t", "string-t",
+            "word-t", "t-above-one", "bool-conf-tol", "string-conf-tol",
+            "null-conf-tol"])
     def test_exit_code(self, argv, named, tmp_path, capsys):
         for name, doc in BAD_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -365,6 +393,15 @@ class TestDeform:
             assert capsys.readouterr().err == (
                 "SamplingExhausted: perturbation scale t must be at most 1, "
                 "got 1.05\n")
+
+    def test_negative_seed_exit_code(self, capsys):
+        # numpy refuses a negative seed without naming it; the sampler
+        # names it
+        rc = run("deform", "--input", str(DATA / "cusp.json"), "--t", "0.05",
+                 "--seed", "-3")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ValueError: sampler seed must be a non-negative integer, got -3\n")
 
     def test_member_files(self, tmp_path, capsys):
         rc = run("deform", "--input", str(DATA / "four_function.json"),
@@ -826,6 +863,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "OK" in captured.out or "winding=2 e=3" in captured.err
         assert calls == {"trace_slice": traces, "braid_from_knot": braids}
+
+    def test_negative_seed_exit_code(self, monkeypatch, capsys):
+        # the sampled member's seed is refused by name, before any slice
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a slice was traced")
+
+        monkeypatch.setattr(knot, "trace_slice", no_trace)
+        rc = run("verify", "--input", str(DATA / "cusp.json"), "--t", "0.005",
+                 "--seed", "-3", "--eta", "0.05")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ValueError: sampler seed must be a non-negative integer, got -3\n")
 
     def test_missing_t_is_refused_before_any_trace(self, monkeypatch, capsys):
         # N = 2 and no --params: verify samples a member, which needs --t

@@ -25,12 +25,30 @@ from branchknot.knot import KnotCurve
 from branchknot.weierstrass import WeierstrassData
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PERFBENCH = DATA.parent / "perfbench"
 
 
 def torus_curve(p, q, a=1.0, b=1.0):
     """The complex curve z -> (a z^p, b z^q), given by its derivatives."""
     return bk.load([CPoly([0] * (p - 1) + [p * a]), CPoly.zero(),
                     CPoly([0] * (q - 1) + [q * b]), CPoly.zero()])
+
+
+def reference_gap(k: KnotCurve) -> float:
+    """The strand gap by the per-shift rule the strand table replaced: the
+    least distance of a sample from each other sheet, interpolated
+    periodically at the sample's own fiber angle."""
+    try:
+        q, th, n = k.sheets
+    except NonMonotoneFiberAngle:
+        return math.inf
+    if n < 2:
+        return math.inf
+    total, th = th[-1] - th[0], th[:-1]
+    wf = q[:, 2] + 1j * q[:, 3]
+    return min(float(np.min(np.abs(
+        wf - np.interp(th + 2.0 * math.pi * s, th, wf, period=total))))
+        for s in range(1, n))
 
 
 def dipping_map():
@@ -295,6 +313,23 @@ class TestBraid:
             pairs = [c[1:3] for c in g]
             assert pairs == sorted(pairs)
 
+    def test_braid_reads_the_strand_table(self, torus_knot, monkeypatch):
+        # once the slice's strand table is built, the braid interpolates
+        # nothing: it reads the table the gap was measured on
+        grid, table = torus_knot.strands
+        calls = []
+        real = np.interp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", spy)
+        b = bk.braid_from_knot(torus_knot)
+        assert calls == []
+        assert b.n_strands == len(table) == 2
+        assert bk.algebraic_crossing_number(b) == 5
+
     def test_braid_json(self, cusp_knot):
         d = bk.braid_from_knot(cusp_knot).to_json_dict()
         assert d["n_strands"] == 2
@@ -350,7 +385,8 @@ class TestLinking:
         assert abs(bk.linking_number_gauss(k) - q) <= 1e-6
         assert sizes and sizes[0] > 75
 
-    def test_strand_gap_from_the_samples(self, cusp_knot, flat_knot):
+    def test_strand_gap_from_the_samples(self, cusp_knot, flat_knot, tmp_path,
+                                         monkeypatch):
         # the cusp's sheets sit at +/- z^3 / eta with |z|^4 + |z|^6 = eta^2,
         # so at equal fiber angle they are 2 |z|^3 / eta apart
         r = np.abs(cusp_knot.preimages).mean()
@@ -374,6 +410,33 @@ class TestLinking:
         with pytest.raises(NonMonotoneFiberAngle, match="not strictly monotone"):
             bk.braid_from_knot(k)
         assert k.strand_gap == math.inf
+        # the gap is the least distance of two strands of the strand table
+        # at one fiber angle.  With three sheets or more it also compares
+        # two interpolated strands at a third sheet's sample angle, so it
+        # is at most the per-shift rule's gap (to rounding) and within 1e-4
+        # of it; on the two-sheet fixtures the two are equal.  The slices
+        # are those knot reads without --eta: the 15 knot-slices T(p,q)
+        # curves at workload seed 1, and the cusp, torus5 and mixed_strong
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import build_cases
+        slices = [(Path(c.argv[c.argv.index("--input") + 1]), False)
+                  for c in build_cases("knot-slices", 1, DATA, tmp_path)
+                  if c.name.startswith("knot T(")]
+        assert len(slices) == 15
+        slices += [(DATA / f"{stem}.json", True)
+                   for stem in ("cusp", "torus5", "mixed_strong")]
+        for path, fixture in slices:
+            w = WeierstrassData.from_json_dict(json.loads(path.read_text()))
+            k = bk.select_eta(w)
+            grid, table = k.strands
+            assert table.shape == (w.N, len(grid))
+            pairwise = min(float(np.abs(table[a] - table[b]).min())
+                           for a in range(w.N) for b in range(a + 1, w.N))
+            gap, ref = k.strand_gap, reference_gap(k)
+            assert gap == pairwise
+            assert ref * (1 - 1e-4) <= gap <= ref * (1 + 1e-12), path
+            if fixture:
+                assert w.N == 2 and gap == ref, path
 
     def test_pushoff_direction_is_ranked(self):
         # on this slice the pushoff in direction 0 of the (x3,x4)-plane
@@ -423,11 +486,18 @@ class TestCrossingRoutes:
                                   f"braid {e}, gauss {gauss}")
 
 
-class TestSelfLinking:
-    def test_identity_instances(self):
-        assert bk.self_linking(3, 2) == 1
-        assert bk.self_linking(0, 1) == -1
-        assert bk.self_linking(5, 2) == 3
+class TestReadSlice:
+    @pytest.mark.parametrize("eta", [1e-2, None])
+    def test_routes_that_disagree_are_refused(self, cusp, eta, monkeypatch):
+        # read_slice owns the route verdict: a Gauss sum one above the
+        # braid's crossing sum is refused there, with or without an eta
+        def one_more(k):
+            return bk.algebraic_crossing_number(bk.braid_from_knot(k)) + 1.0
+
+        monkeypatch.setattr(knot_module, "linking_number_gauss", one_more)
+        with pytest.raises(CrossingRoutesDisagree,
+                           match="braid 3, gauss 4.000"):
+            bk.read_slice(cusp, eta)
 
 
 class TestContactMargin:
