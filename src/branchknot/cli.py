@@ -15,12 +15,13 @@ are all pairs of a disk grid grid-n // 4 points across.
 Exit codes: 0 success; each failure class in branchknot.errors declares
 its own as exit_code, directly or through its group:
   2  input validation failure (InputError, ValueError, OSError): a file that
-     cannot be read or written, a document that is not a JSON object or
-     lacks a key, a tangent plane or Gauss map asked for at a branch point,
-     a grid-n below 28, a double-points radius outside (0, 0.9], a conf_tol
-     or eta not finite and > 0, a conf_tol or t that is not a finite number
-     (a boolean, a string or null included), a t outside [0, 1], a negative
-     --seed, and a coefficient that is not finite included
+     cannot be read or written or is not UTF-8 JSON text, a document that
+     is not a JSON object or lacks a key, a tangent plane or Gauss map
+     asked for at a branch point, a grid-n below 28, a double-points radius
+     outside (0, 0.9], a conf_tol or eta not finite and > 0, a conf_tol or
+     t that is not a finite number (a boolean, a string or null included),
+     a t outside [0, 1], a negative --seed, and a coefficient that is not
+     finite included
   3  sampling exhausted (SamplingExhausted; --t missing or not in (0, 1])
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
@@ -62,12 +63,17 @@ def _dump(obj, path: Path | None, as_json: bool):
 def _read_document(path: str, build, key: str):
     """build(the JSON document in path).
 
-    A document that is not a JSON object raises ValueError naming path
-    and the key build needs; one that lacks a key, or has a value that
-    build refuses, raises ValueError naming path.
+    A file that is not UTF-8 JSON text raises ValueError naming path; a
+    document that is not a JSON object raises ValueError naming path and
+    the key build needs; one that lacks a key, or has a value that build
+    refuses, raises ValueError naming path.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            # JSONDecodeError and UnicodeDecodeError, which name no file
+            raise ValueError(f"{path}: not UTF-8 JSON text: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object with key {key!r}, "
                          f"got {type(data).__name__}")
@@ -184,9 +190,8 @@ def cmd_knot(args) -> int:
     _dump(b.to_json_dict(), out_dir / "braid.json", False)
     _dump(report, out_dir / "knot_report.json", args.json)
     if not args.json:
-        # a rounding residue below 0.0005 prints as 0.000, without a sign
-        gauss = lk if abs(lk) >= 0.0005 else 0.0
-        print(f"winding={b.n_strands} e={e} gauss={gauss:.3f}", file=sys.stderr)
+        print(f"winding={b.n_strands} e={e} gauss={knot._gauss_text(lk)}",
+              file=sys.stderr)
     return 0
 
 

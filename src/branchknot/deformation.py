@@ -1,30 +1,27 @@
 """Perturbation families that desingularize a branched minimal disk.
 
 Writing f_i' = z^{n_i} * g_i with g_i(0) != 0 and relabeling indices so
-n_1 is minimal, a family member for parameters A in C^{n1+1}, B (length
-n3+1 for orientation +, n4+1 for orientation -) replaces the derivative
-data by
+n_1 is minimal, a family member for parameters A in C^{n1+1} and B in
+C^{n3+1} replaces the derivative data by
 
-  orientation +:
-    h1 = (z^n1 + sum a_i z^i) g1        h2 = z^(n2-n3) (z^n3 + sum b_i z^i) g2
-    h3 = (z^n3 + sum b_i z^i) g3        h4 = z^(n4-n1) (z^n1 + sum a_i z^i) g4
+    h1 = (z^n1 + sum a_i z^i) g1        h2 = z^e (z^n3 + sum b_i z^i) g2
+    h3 = (z^n3 + sum b_i z^i) g3        h4 = z^e (z^n1 + sum a_i z^i) g4
 
-  orientation -:
-    h1 = (z^n1 + sum a_i z^i) g1        h2 = z^(n2-n4) (z^n4 + sum b_i z^i) g2
-    h3 = z^(n3-n1) (z^n1 + sum a_i z^i) g3    h4 = (z^n4 + sum b_i z^i) g4
-
-The - recipe is the + recipe with slots 3 and 4 exchanged: one of them
-takes the factor in b, the other the shifted factor in a.  Both keep
+with the one shift exponent e = n2 - n3 = n4 - n1 >= 0.  This keeps
 h1*h2 + h3*h4 = 0 exactly (in coefficient arithmetic up to roundoff),
-so every member is again valid minimal-disk data.  A = B = 0
-reproduces the base map coefficient-for-coefficient.  The + recipe leaves
-the first sphere coordinate of the tangent-plane map untouched, the -
-recipe the second one.
+so every member is again valid minimal-disk data, and A = B = 0
+reproduces the base map coefficient-for-coefficient.  The recipe leaves
+the first sphere coordinate of the tangent-plane map untouched.
 
-Complex-curve inputs (two components identically zero) use the reduced
-recipe h1 = (z^n1 + sum a_i z^i) g1, h3 = (z^n3 + sum b_i z^i) g3,
-h2 = h4 = 0, identical for both orientations (the shifted factors are
-vacuous there).
+That is the family of orientation +.  The family of orientation - is its
+mirror image under x4 -> -x4, which exchanges f3' and f4' (it maps
+F3 + i F4 = f3 + conj(f4) to its conjugate): a - member is the recipe on
+the data with slots 3 and 4 exchanged (B of length n4 + 1), exchanged
+back, and it leaves the second sphere coordinate untouched instead.
+Complex-curve inputs (two components identically zero, in slots 2 and 4
+after relabeling) are never mirrored: for both orientations e = 0 and the
+recipe reduces to h1 = (z^n1 + sum a_i z^i) g1, h3 = (z^n3 + sum b_i z^i) g3,
+h2 = h4 = 0.
 """
 
 from __future__ import annotations
@@ -102,11 +99,11 @@ class FamilyMember:
 
 
 # ---------------------------------------------------------------------------
-# index relabeling
+# the member's frame and the recipe
 # ---------------------------------------------------------------------------
 
 def relabel_orders(w: WeierstrassData):
-    """Permutation bringing data into the frame used by the recipes.
+    """Permutation bringing data into the frame used by the recipe.
 
     Slot 1 takes the component of least (order, index) and slot 2 its
     pair partner; slots 3 and 4 take the other pair, a nonzero component
@@ -137,24 +134,31 @@ def relabel_orders(w: WeierstrassData):
     return relabeled, perm
 
 
-# ---------------------------------------------------------------------------
-# family construction
-# ---------------------------------------------------------------------------
-
-def _pb_slot(base: WeierstrassData, orientation: int) -> int:
-    """Index of the slot whose factor is PB: 2 (f3') for orientation + and
-    for complex-curve data, 3 (f4') for orientation -.  The other slot of
-    the second pair takes the shifted PA."""
-    reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
-    return 2 if (reduced or orientation > 0) else 3
+# x4 -> -x4 as a slot permutation (f3' and f4' exchanged), its own inverse
+_MIRROR = (0, 1, 3, 2)
 
 
-def _factors(base: WeierstrassData, p: PerturbParams) -> tuple:
-    """The monic factors (PA, PB) of p in base's frame: z^n1 + sum a_i z^i
-    and z^n + sum b_i z^i, n the order of the slot _pb_slot names."""
+def _mirrored(base: WeierstrassData, orientation: int) -> bool:
+    """Whether members of this orientation on relabeled data base are the
+    recipe on the mirror: orientation - on full data.  Complex-curve data,
+    with its zero components in slots 2 and 4, is never mirrored."""
+    return orientation < 0 and not base.fprime[1].is_zero
+
+
+def _frame(w: WeierstrassData, orientation: int) -> tuple:
+    """(base, perm, slots) of the members of w: w relabeled and the
+    permutation (relabel_orders), and the order in which the recipe reads
+    base's slots, _MIRROR when _mirrored and the identity otherwise."""
+    base, perm = relabel_orders(w)
+    return base, perm, _MIRROR if _mirrored(base, orientation) else (0, 1, 2, 3)
+
+
+def _factors(frame: tuple, p: PerturbParams) -> tuple:
+    """The monic factors (PA, PB) of p in frame (_frame): z^n1 + sum a_i z^i
+    and z^n3 + sum b_i z^i, n3 the order of the slot the recipe reads third."""
+    base, _, slots = frame
     out = []
-    for n, coeffs in ((base.orders[0], p.A),
-                      (base.orders[_pb_slot(base, p.orientation)], p.B)):
+    for n, coeffs in ((base.orders[0], p.A), (base.orders[slots[2]], p.B)):
         if coeffs.size != n + 1:
             raise ValueError(f"parameter vector must have length {n + 1}, "
                              f"got {coeffs.size}")
@@ -165,39 +169,34 @@ def _factors(base: WeierstrassData, p: PerturbParams) -> tuple:
 def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
     """Assemble one family member from base data and parameters.
 
-    The deformed data is revalidated on construction; its conformality
-    residual is held to 1e-12 of the coefficient scale.
+    The recipe reads base in the frame's slots, and h is read back into
+    base's slots before the one load.  The deformed data is revalidated on
+    construction; its conformality residual is held to 1e-12 of the
+    coefficient scale.
     """
     if np.linalg.norm(p.A) > 1.0 + 1e-12 or np.linalg.norm(p.B) > 1.0 + 1e-12:
         raise ValueError("parameter vectors must lie in the unit balls")
 
-    base, perm = relabel_orders(w)
-    g = tuple(base.fprime[i].shift_down(base.orders[i])
-              if not base.fprime[i].is_zero else CPoly.zero()
-              for i in range(4))
-    n = base.orders
-    reduced = base.fprime[1].is_zero and base.fprime[3].is_zero
-    ib = _pb_slot(base, p.orientation)
-    ia = 5 - ib
-    if reduced:
-        # the shifted factors multiply the zero components g2 = g4 = 0
-        eb = ea = 0
-    else:
-        # n1 is the least order and n1 + n2 = n3 + n4, so eb = ea >= 0
-        eb, ea = n[1] - n[ib], n[ia] - n[0]
-        if eb == 0:
-            warnings.warn("shift exponent is zero; the quadratic lower bound "
-                          "for the pair-separation determinant is not "
-                          "guaranteed", stacklevel=2)
-    PA, PB = _factors(base, p)
-    h = [PA * g[0], CPoly.monomial(eb) * PB * g[1], None, None]
-    h[ib] = PB * g[ib]
-    h[ia] = CPoly.monomial(ea) * PA * g[ia]
-    det_polys = (g[0].antiderivative(),
-                 (CPoly.monomial(ea) * g[ia]).antiderivative(),
-                 (CPoly.monomial(eb) * g[1]).antiderivative(),
-                 g[ib].antiderivative())
-    return FamilyMember(base=base, params=p, deformed=load(h, conf_tol=1e-12),
+    frame = _frame(w, p.orientation)
+    base, perm, slots = frame
+    g = tuple(base.fprime[k].shift_down(base.orders[k])
+              if not base.fprime[k].is_zero else CPoly.zero()
+              for k in slots)
+    reduced = g[1].is_zero
+    # n1 is the least order and n1 + n2 = n3 + n4, so e = n4 - n1 >= 0; on
+    # complex-curve data the shifted factors multiply g2 = g4 = 0
+    e = 0 if reduced else base.orders[slots[1]] - base.orders[slots[2]]
+    if e == 0 and not reduced:
+        warnings.warn("shift exponent is zero; the quadratic lower bound "
+                      "for the pair-separation determinant is not "
+                      "guaranteed", stacklevel=2)
+    PA, PB = _factors(frame, p)
+    shift = CPoly.monomial(e)
+    h = (PA * g[0], shift * PB * g[1], PB * g[2], shift * PA * g[3])
+    det_polys = (g[0].antiderivative(), (shift * g[3]).antiderivative(),
+                 (shift * g[1]).antiderivative(), g[2].antiderivative())
+    return FamilyMember(base=base, params=p,
+                        deformed=load(tuple(h[k] for k in slots), conf_tol=1e-12),
                         reduced=reduced, relabel=perm, det_polys=det_polys)
 
 
@@ -216,9 +215,8 @@ def check_X1(p: PerturbParams, w: WeierstrassData) -> bool:
     is pooled across both factors: a shared root would be a common zero of
     all four deformed components, i.e. a branch point.
     """
-    base, _ = relabel_orders(w)
     roots = []
-    for poly in _factors(base, p):
+    for poly in _factors(_frame(w, p.orientation), p):
         if poly.degree >= 1:
             roots.extend(poly.roots())
     for i, r in enumerate(roots):
@@ -248,8 +246,8 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
             f"perturbation scale t must be finite and > 0, got {t}")
     if t > 1:
         raise SamplingExhausted(f"perturbation scale t must be at most 1, got {t}")
-    base, _ = relabel_orders(w)
-    na, nb = base.orders[0], base.orders[_pb_slot(base, orientation)]
+    base, _, slots = _frame(w, orientation)
+    na, nb = base.orders[0], base.orders[slots[2]]
 
     rng = np.random.default_rng(rng_seed)
 
@@ -282,14 +280,14 @@ def gauss_invariance_residual(fm: FamilyMember, sample_points) -> float:
     """Largest chordal gap between base and deformed tangent-sphere maps.
 
     The gap is the Euclidean distance of the two points on the unit
-    sphere, taken over all sample points at once.  Orientation + compares
-    the first sphere coordinate, orientation - the second: the chart of
-    the slot that carries PB.  Reduced members compare the first
-    coordinate for either orientation: it is the only chart their zero
-    components leave defined, and the one the reduced recipe preserves.
-    0.0 when neither map has the chart, inf when only one has it.
+    sphere, taken over all sample points at once, in the chart the recipe
+    preserves: the first sphere coordinate, or the second on a mirrored
+    member, as exchanging f3' and f4' exchanges the two up to sign.
+    Reduced members are never mirrored: the first chart is the only one
+    their zero components leave defined.  0.0 when neither map has the
+    chart, inf when only one has it.
     """
-    idx = _pb_slot(fm.base, fm.params.orientation) - 2
+    idx = 1 if _mirrored(fm.base, fm.params.orientation) else 0
     z = np.asarray(sample_points)
     gb = gauss_maps(fm.base, z)[idx]
     gd = gauss_maps(fm.deformed, z)[idx]

@@ -312,13 +312,18 @@ def algebraic_crossing_number(b: BraidDiagram) -> int:
     return int(sum(c[3] for c in b.crossings))
 
 
+def _gauss_text(lk: float) -> str:
+    """A Gauss linking sum to three decimals; a rounding residue below
+    0.0005 prints as 0.000, without a sign, and NaN as nan."""
+    return f"{0.0 if abs(lk) < 0.0005 else lk:.3f}"
+
+
 def check_crossing_routes(e: int, lk: float) -> None:
     """Raise CrossingRoutesDisagree unless the Gauss linking sum lk is
     within 1e-6 of the braid's crossing sum e."""
     if not abs(lk - e) <= 1e-6:
-        gauss = 0.0 if abs(lk) < 0.0005 else lk  # no sign on a residue
         raise CrossingRoutesDisagree(
-            f"crossing-count routes disagree: braid {e}, gauss {gauss:.3f}")
+            f"crossing-count routes disagree: braid {e}, gauss {_gauss_text(lk)}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +449,14 @@ def contact_transversality_margin(k: KnotCurve, orientation: int) -> float:
 
     J is the orthogonal complex structure attached to the branch-point
     tangent plane: for orientation +1 it rotates both coordinate planes by
-    +90 degrees, for -1 the second plane by -90.  A strictly positive
-    margin certifies the slice transverse to the associated contact
-    planes.
+    +90 degrees, for -1 the second plane by -90, which is J+ conjugated by
+    the mirror x4 -> -x4.  A strictly positive margin certifies the slice
+    transverse to the associated contact planes.
     """
     q = k.samples
     gam = np.roll(q, -1, axis=0) - np.roll(q, 1, axis=0)
-    if orientation >= 0:
-        jq = np.stack([-q[:, 1], q[:, 0], -q[:, 3], q[:, 2]], axis=1)
-    else:
-        jq = np.stack([-q[:, 1], q[:, 0], q[:, 3], -q[:, 2]], axis=1)
+    sign = 1.0 if orientation >= 0 else -1.0
+    jq = np.stack([-q[:, 1], q[:, 0], -sign * q[:, 3], sign * q[:, 2]], axis=1)
     num = np.abs(np.einsum("ij,ij->i", gam, jq))
     return float(np.min(num / np.linalg.norm(gam, axis=1)))
 

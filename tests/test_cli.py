@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,6 +159,22 @@ class TestBadFiles:
         err = capsys.readouterr().err
         assert all(n in err for n in named), err
         assert "unpack" not in err
+
+    @pytest.mark.parametrize("name, text, named", [
+        ("truncated.json", b'{"fprime": [', "Expecting value: line 1 column 13"),
+        ("latin1.json", '{"fprime": "\u00e9"}'.encode("latin-1"),
+         "can't decode byte 0xe9"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unreadable_text_exit_code(self, name, text, named, tmp_path, capsys):
+        # a file json cannot decode is named, as any other bad document is
+        (tmp_path / name).write_bytes(text)
+        for argv in (["analyze", "--input", str(tmp_path / name)],
+                     ["knot", "--input", str(DATA / "cusp.json"), "--eta", "0.01",
+                      "--params", str(tmp_path / name)]):
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"ValueError: {tmp_path / name}: not UTF-8 JSON")
+            assert named in err and err.count("\n") == 1
 
 
 def documented_exit_codes() -> dict:
@@ -462,6 +480,25 @@ def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(mod, name, spy)
     assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path)) == 0
     assert len(built) == sum(passed) >= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--t", "0.005", "--eta", "0.05"], ["deform", "--t", "0.005"]],
+    ids=["verify", "deform"])
+def test_relabel_warning_is_written_once(argv, tmp_path):
+    # x -> (conj z^2, z^3) relabels by an odd permutation; a run of the
+    # program in its own process warns of it once, with the default filters
+    path = tmp_path / "mirrored_cusp.json"
+    path.write_text(json.dumps(
+        {"fprime": [[], [[0, 0], [2, 0]], [[0, 0], [0, 0], [3, 0]], []]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchknot.cli", argv[0], "--input", str(path),
+         *argv[1:], "--seed", "1", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("reflects one coordinate plane") == 1, proc.stderr
 
 
 @settings(max_examples=20, deadline=None)

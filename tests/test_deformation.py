@@ -238,6 +238,52 @@ def test_relabel_rule_matches_reference(monkeypatch):
     assert accepted == 320
 
 
+def mirror(w):
+    """w under x4 -> -x4: f3' and f4' exchanged."""
+    f = w.fprime
+    return bk.load([f[0], f[1], f[3], f[2]], conf_tol=w.conf_tol)
+
+
+class TestMirror:
+    # orientation - is the + recipe on the x4-mirror of the data
+    @pytest.mark.parametrize("name", ["ex4", "mixed_strong"])
+    def test_minus_member_is_the_mirrored_plus_member(self, bases, name):
+        w, (nA, nB) = bases[name], PARAM_SIZES[name]
+        rng = np.random.default_rng(31)
+        ring = 0.3 * np.exp(2j * np.pi * np.arange(100) / 100)
+        for _ in range(20):
+            A, B = (0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                    / math.sqrt(2 * n) for n in (nA, nB))
+            minus = bk.build_family_member(
+                w, bk.PerturbParams(A=A, B=B, orientation=-1, t=0.05))
+            plus = bk.build_family_member(
+                mirror(w), bk.PerturbParams(A=A, B=B, orientation=+1, t=0.05))
+            for h, k in zip(minus.deformed.fprime, (0, 1, 3, 2)):
+                assert coeffs_equal(h, plus.deformed.fprime[k])
+            assert all(coeffs_equal(a, b)
+                       for a, b in zip(minus.det_polys, plus.det_polys))
+            assert bk.gauss_invariance_residual(minus, ring) == \
+                bk.gauss_invariance_residual(plus, ring)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampler_accepts_the_mirrored_draw(self, bases, sampled_members,
+                                               seed):
+        # the same draws, so the same A and B; the double points sit at the
+        # same preimages, with x4 and the determinant's sign reversed
+        minus = sampled_members["mixed_strong", seed, -1]
+        plus = bk.sample_generic(mirror(bases["mixed_strong"]), 0.05, seed,
+                                 orientation=+1)
+        assert np.array_equal(minus.params.A, plus.params.A)
+        assert np.array_equal(minus.params.B, plus.params.B)
+        dm, dp = (bk.find_double_points(fm.deformed, 0.5, 48)
+                  for fm in (minus, plus))
+        assert len(dm) == len(dp) >= 1
+        for a, b in zip(dm, dp):
+            assert abs(a.z1 - b.z1) <= 1e-9 and abs(a.z2 - b.z2) <= 1e-9
+            assert np.abs(a.image - b.image * [1, 1, 1, -1]).max() <= 1e-9
+            assert a.transversality_det * b.transversality_det < 0
+
+
 class TestContinuity:
     def test_member_approaches_base(self, ex4):
         rng = np.random.default_rng(7)
