@@ -22,7 +22,9 @@ its own as exit_code, directly or through its group:
      t that is not a finite number (a boolean, a string or null included),
      a t outside [0, 1], a negative --seed, and a coefficient that is not
      finite included
-  3  sampling exhausted (SamplingExhausted; --t missing or not in (0, 1])
+  3  sampling exhausted (SamplingExhausted; --t missing or not in (0, 1]),
+     and a base with a branch point other than 0 in the unit disk
+     (SecondBranchPoint)
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
      SliceNotEmbedded, crossing-count routes that disagree,

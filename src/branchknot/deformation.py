@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpoly import CPoly, complex_pairs, real_number
-from .errors import SamplingExhausted
-from .intersect import find_double_points
+from .errors import SamplingExhausted, SecondBranchPoint
 from .weierstrass import WeierstrassData, branch_points, gauss_maps, load
 
 __all__ = ["PerturbParams", "FamilyMember", "build_family_member", "check_X1",
@@ -166,18 +165,14 @@ def _factors(frame: tuple, p: PerturbParams) -> tuple:
     return tuple(out)
 
 
-def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
-    """Assemble one family member from base data and parameters.
+def _member(frame: tuple, p: PerturbParams) -> FamilyMember:
+    """The member of p in frame (_frame).
 
     The recipe reads base in the frame's slots, and h is read back into
     base's slots before the one load.  The deformed data is revalidated on
     construction; its conformality residual is held to 1e-12 of the
     coefficient scale.
     """
-    if np.linalg.norm(p.A) > 1.0 + 1e-12 or np.linalg.norm(p.B) > 1.0 + 1e-12:
-        raise ValueError("parameter vectors must lie in the unit balls")
-
-    frame = _frame(w, p.orientation)
     base, perm, slots = frame
     g = tuple(base.fprime[k].shift_down(base.orders[k])
               if not base.fprime[k].is_zero else CPoly.zero()
@@ -189,7 +184,7 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
     if e == 0 and not reduced:
         warnings.warn("shift exponent is zero; the quadratic lower bound "
                       "for the pair-separation determinant is not "
-                      "guaranteed", stacklevel=2)
+                      "guaranteed", stacklevel=3)
     PA, PB = _factors(frame, p)
     shift = CPoly.monomial(e)
     h = (PA * g[0], shift * PB * g[1], PB * g[2], shift * PA * g[3])
@@ -198,6 +193,14 @@ def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
     return FamilyMember(base=base, params=p,
                         deformed=load(tuple(h[k] for k in slots), conf_tol=1e-12),
                         reduced=reduced, relabel=perm, det_polys=det_polys)
+
+
+def build_family_member(w: WeierstrassData, p: PerturbParams) -> FamilyMember:
+    """Assemble one family member from base data and parameters: the
+    member of p in the frame of w (_member)."""
+    if np.linalg.norm(p.A) > 1.0 + 1e-12 or np.linalg.norm(p.B) > 1.0 + 1e-12:
+        raise ValueError("parameter vectors must lie in the unit balls")
+    return _member(_frame(w, p.orientation), p)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +233,18 @@ def check_X1(p: PerturbParams, w: WeierstrassData) -> bool:
 
 def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
                    orientation: int = +1) -> FamilyMember:
-    """The member of the first draw of size <= t passing the rejection battery.
+    """The member of the first draw of size <= t passing the genericity test.
 
-    A draw is accepted when the monic factors have simple nonzero roots,
-    the deformed map has no branch point in the unit disk, and every
-    double point the grid-32 search finds in |z| <= 0.5 is transverse.
-    Deterministic for a fixed seed.  Raises ValueError for a negative
-    rng_seed, and SamplingExhausted when t is None, not finite and > 0 or
-    above 1, or no draw of the _MAX_DRAWS passes.
+    A draw is accepted when the monic factors have simple nonzero roots
+    and the deformed map has no branch point in the unit disk.  No double
+    point is searched: the pair-separation determinant, the parameter
+    derivative of F(z1) - F(z2), is bounded below off the diagonal
+    (acceptance criterion 05), so almost every draw is transverse.  The
+    frame is decided once per call.  Deterministic for a fixed seed.
+    Raises ValueError for a negative rng_seed; SamplingExhausted when t is
+    None, not finite and > 0 or above 1, or no draw of the _MAX_DRAWS
+    passes; and SecondBranchPoint, before any draw, when w has a branch
+    point other than 0 in the unit disk, which every member keeps.
     """
     if rng_seed < 0:
         raise ValueError(f"sampler seed must be a non-negative integer, got {rng_seed}")
@@ -246,8 +253,18 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
             f"perturbation scale t must be finite and > 0, got {t}")
     if t > 1:
         raise SamplingExhausted(f"perturbation scale t must be at most 1, got {t}")
-    base, _, slots = _frame(w, orientation)
+    frame = _frame(w, orientation)
+    base, _, slots = frame
     na, nb = base.orders[0], base.orders[slots[2]]
+    # the member at A = B = 0 is base with exact vanishing orders at 0, and
+    # every member's h_i carries g_i: a common zero of the g_i is kept
+    still = _member(frame, PerturbParams(A=np.zeros(na + 1), B=np.zeros(nb + 1),
+                                         orientation=orientation))
+    for b in branch_points(still.deformed):
+        if abs(b) > _ROOT_SEP_TOL:
+            raise SecondBranchPoint(
+                f"branch point at z = {b.real:.6g}{b.imag + 0.0:+.6g}j besides "
+                "z = 0 in the unit disk; every family member keeps it")
 
     rng = np.random.default_rng(rng_seed)
 
@@ -262,11 +279,8 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
                           orientation=orientation, t=t)
         if not check_X1(p, base):
             continue
-        fm = build_family_member(w, p)
-        if branch_points(fm.deformed):
-            continue
-        dps = find_double_points(fm.deformed, radius=0.5, grid_n=32)
-        if all(dp.transverse for dp in dps):
+        fm = _member(frame, p)
+        if not branch_points(fm.deformed):
             return fm
     raise SamplingExhausted(f"no generic parameters found in {_MAX_DRAWS} draws "
                             f"at scale t={t}")

@@ -56,6 +56,13 @@ class SamplingExhausted(BranchknotError):
     exit_code = 3
 
 
+class SecondBranchPoint(BranchknotError):
+    """The base has a branch point other than 0 in the unit disk, which
+    every family member keeps, so no draw can be an immersion."""
+
+    exit_code = 3
+
+
 # ---- slicing / braiding ----------------------------------------------------
 
 class SliceFailure(BranchknotError):

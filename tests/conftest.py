@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import branchknot as bk
-from branchknot import _kernels, deformation
+from branchknot import _kernels
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -101,31 +101,15 @@ def search_seeds(cusp_member, torus_member):
 
 
 @pytest.fixture(scope="session")
-def sampler_run():
+def sampled_members():
     """The members sample_generic accepts at t = 0.05 for four fixtures,
-    seeds 1-3 and both orientations, keyed (stem, seed, orientation), and
-    every (double point, deformed map) its searches found on the way,
-    rejected draws included."""
-    members, judged = {}, []
-    search = deformation.find_double_points
-
-    def record(w, *args, **kwargs):
-        dps = search(w, *args, **kwargs)
-        judged.extend((dp, w) for dp in dps)
-        return dps
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(deformation, "find_double_points", record)
-        for stem in ("cusp", "torus5", "four_function", "mixed_strong"):
-            w = bk.WeierstrassData.from_json_dict(
-                json.loads((DATA / f"{stem}.json").read_text()))
-            for seed in (1, 2, 3):
-                for orientation in (+1, -1):
-                    members[stem, seed, orientation] = bk.sample_generic(
-                        w, 0.05, seed, orientation=orientation)
-    return members, judged
-
-
-@pytest.fixture(scope="session")
-def sampled_members(sampler_run):
-    return sampler_run[0]
+    seeds 1-3 and both orientations, keyed (stem, seed, orientation)."""
+    members = {}
+    for stem in ("cusp", "torus5", "four_function", "mixed_strong"):
+        w = bk.WeierstrassData.from_json_dict(
+            json.loads((DATA / f"{stem}.json").read_text()))
+        for seed in (1, 2, 3):
+            for orientation in (+1, -1):
+                members[stem, seed, orientation] = bk.sample_generic(
+                    w, 0.05, seed, orientation=orientation)
+    return members

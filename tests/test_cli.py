@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -458,14 +459,14 @@ class TestDeform:
 ], ids=["deform-four-function", "deform-cusp", "verify-cusp"])
 def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
     # every draw that passes check_X1 builds its member once, and the
-    # accepted one is handed on, not built again
-    real_build, real_x1 = (deformation.build_family_member,
-                           deformation.check_X1)
+    # accepted one is handed on, not built again; the member at A = B = 0
+    # is built once per run, for the second-branch-point refusal
+    real_build, real_x1 = deformation._member, deformation.check_X1
     built, passed = [], []
 
-    def build(w, p):
+    def build(frame, p):
         built.append(p)
-        return real_build(w, p)
+        return real_build(frame, p)
 
     def x1(p, w):
         passed.append(real_x1(p, w))
@@ -474,12 +475,42 @@ def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
     # wherever a package module binds them
     for mod in [m for name, m in sys.modules.items()
                 if name.split(".")[0] == "branchknot"]:
-        for name, spy, real in (("build_family_member", build, real_build),
+        for name, spy, real in (("_member", build, real_build),
                                 ("check_X1", x1, real_x1)):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, spy)
     assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path)) == 0
-    assert len(built) == sum(passed) >= 1
+    assert len(built) - 1 == sum(passed) >= 1
+    assert built[0].t == 0.0 and all(p.t > 0 for p in built[1:])
+
+
+# cusps at z = 0 and z = 0.5; SECOND_CUSP_OUTSIDE moves the second to z = 2
+SECOND_CUSP = {"fprime": [[[0, 0], [-0.5, 0], [1, 0]], [],
+                          [[0, 0], [0, 0], [-1.5, 0], [3, 0]], []]}
+SECOND_CUSP_OUTSIDE = {"fprime": [[[0, 0], [-2, 0], [1, 0]], [],
+                                  [[0, 0], [0, 0], [-6, 0], [3, 0]], []]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "--t", "0.05"], ["verify", "--t", "1e-5"]],
+    ids=["deform", "verify"])
+def test_second_branch_point_is_refused(argv, tmp_path, capsys):
+    # every member keeps the cusp at 0.5, so no draw is made at all
+    start = time.perf_counter()
+    rc = run(argv[0], "--input", write_input(tmp_path, SECOND_CUSP), *argv[1:],
+             "--seed", "1", "--out-dir", str(tmp_path / "out"))
+    assert time.perf_counter() - start < 0.1
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "SecondBranchPoint: branch point at z = 0.5+0j besides z = 0 in the "
+        "unit disk; every family member keeps it\n")
+
+
+def test_second_branch_point_outside_the_disk(tmp_path, capsys):
+    rc = run("verify", "--input", write_input(tmp_path, SECOND_CUSP_OUTSIDE),
+             "--t", "1e-5", "--seed", "1")
+    assert rc == 0
+    assert capsys.readouterr().out == "D=1 e=3 N=2 sl=1 OK\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchknot as bk
-from branchknot import deformation
+from branchknot import _kernels, deformation
 from branchknot.cpoly import CPoly
 from branchknot.deformation import relabel_orders
-from branchknot.errors import SamplingExhausted
+from branchknot.errors import SamplingExhausted, SecondBranchPoint
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -352,47 +352,125 @@ class TestSampling:
 
     def test_x1_failures_exhaust_the_draws(self, cusp, monkeypatch):
         # at t = 1e-6 the cusp's factor roots sit inside the absolute root
-        # floor, so every draw fails X1 and no member is built
-        verdicts, real_check = [], deformation.check_X1
+        # floor, so every draw fails X1 and no draw's member is built (only
+        # the member at A = B = 0, read once for a second branch point)
+        verdicts, built = [], []
+        real_check, real_member = deformation.check_X1, deformation._member
 
         def check(p, w):
             verdicts.append(real_check(p, w))
             return verdicts[-1]
 
-        def build(*args):
-            raise AssertionError("a draw failing X1 was built")
+        def build(frame, p):
+            built.append(p)
+            return real_member(frame, p)
 
         monkeypatch.setattr(deformation, "_MAX_DRAWS", 5)
         monkeypatch.setattr(deformation, "check_X1", check)
-        monkeypatch.setattr(deformation, "build_family_member", build)
+        monkeypatch.setattr(deformation, "_member", build)
         with pytest.raises(SamplingExhausted,
                            match=r"^no generic parameters found in 5 draws "
                                  r"at scale t=1e-06$"):
             bk.sample_generic(cusp, 1e-6, 1)
         assert verdicts == [False] * 5
+        assert [p.t for p in built] == [0.0]
 
     def test_branch_point_rejects_the_draw(self, cusp, monkeypatch):
         # on a complex curve a branch point fails X1 first, so the branch
-        # test is made to find one in the first member built: that member
-        # is dropped and the next draw passing X1 is taken
+        # test is made to find one in the first draw's member (built after
+        # the member at A = B = 0): that member is dropped and the next
+        # draw passing X1 is taken
         first = bk.sample_generic(cusp, 0.05, 1)
         built = []
-        real_build, real_branch_points = (deformation.build_family_member,
-                                          deformation.branch_points)
+        real_member, real_branch_points = (deformation._member,
+                                           deformation.branch_points)
 
-        def build(w, p):
-            built.append(real_build(w, p))
+        def member(frame, p):
+            built.append(real_member(frame, p))
             return built[-1]
 
         def branch_points(w):
-            return [0.5] if len(built) == 1 else real_branch_points(w)
+            return [0.5] if len(built) == 2 else real_branch_points(w)
 
-        monkeypatch.setattr(deformation, "build_family_member", build)
+        monkeypatch.setattr(deformation, "_member", member)
         monkeypatch.setattr(deformation, "branch_points", branch_points)
         fm = bk.sample_generic(cusp, 0.05, 1)
-        assert len(built) == 2 and fm is built[1]
-        assert np.array_equal(built[0].params.A, first.params.A)
+        assert len(built) == 3 and fm is built[2]
+        assert np.array_equal(built[1].params.A, first.params.A)
         assert not np.array_equal(fm.params.A, first.params.A)
+
+    def test_frame_is_decided_once(self, monkeypatch):
+        # x -> (conj z^2, z^3) needs a relabel: one per call, not one per
+        # draw, and the member still carries the input's permutation
+        w = bk.load([CPoly.zero(), CPoly([0, 2]), CPoly([0, 0, 3]),
+                     CPoly.zero()])
+        calls, real_relabel = [], deformation.relabel_orders
+
+        def relabel(v):
+            calls.append(v)
+            return real_relabel(v)
+
+        monkeypatch.setattr(deformation, "relabel_orders", relabel)
+        with pytest.warns(UserWarning, match="reflects one coordinate plane"):
+            fm = bk.sample_generic(w, 0.05, 1)
+        assert fm.relabel == (1, 0, 2, 3)
+        assert [v for v in calls if v is w] == [w]
+        with pytest.warns(UserWarning, match="reflects one coordinate plane"):
+            rebuilt = bk.build_family_member(w, fm.params)
+        assert rebuilt.to_json_dict() == fm.to_json_dict()
+
+    def test_starts_no_newton_batch(self, bases, monkeypatch):
+        # a draw's double points are not searched (the lemma behind
+        # acceptance criterion 05 makes almost every draw generic)
+        def newton(*args):
+            raise AssertionError("the sampler started a Newton batch")
+
+        monkeypatch.setattr(_kernels, "newton_double_points", newton)
+        for w in bases.values():
+            for orientation in (+1, -1):
+                bk.sample_generic(w, 0.05, 1, orientation=orientation)
+
+    def test_first_admissible_draw_is_taken(self, monkeypatch):
+        # T(2,9) at t = 1e-5, seed 3: the first draw passing X1 has no
+        # branch point in the unit disk, and it is the member returned;
+        # its double points still satisfy the identity with D = delta = 4
+        w = bk.load([CPoly([0, 2]), CPoly.zero(), CPoly.monomial(8) * 9,
+                     CPoly.zero()])
+        draws, real_check = [], deformation.check_X1
+
+        def check(p, v):
+            draws.append((p, real_check(p, v)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(deformation, "check_X1", check)
+        fm = bk.sample_generic(w, 1e-5, 3)
+        assert [ok for _, ok in draws].count(True) == 1 and draws[-1][1]
+        assert fm.params is draws[-1][0]
+        report = bk.verify_double_point_formula(fm.base, fm.deformed)
+        assert (report.D, report.e, report.N) == (4, 9, 2)
+
+    def test_second_branch_point_is_refused(self, monkeypatch):
+        # cusps at 0 and 0.5: every member keeps the one at 0.5, so the
+        # sampler refuses before its first draw, naming it
+        w = bk.load([CPoly([0, -0.5, 1]), CPoly.zero(),
+                     CPoly([0, 0, -1.5, 3]), CPoly.zero()])
+
+        def check(p, v):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(deformation, "check_X1", check)
+        for orientation in (+1, -1):
+            with pytest.raises(SecondBranchPoint,
+                               match=r"^branch point at z = 0\.5\+0j besides"):
+                bk.sample_generic(w, 0.05, 1, orientation=orientation)
+
+    def test_branch_point_spread_by_roundoff_is_not_refused(self):
+        # a constant term below the order cutoff spreads the branch point at
+        # 0 of 4z^3 into three roots near |z| = 3e-5; it is still the one
+        w = bk.load([CPoly([1e-13, 0, 0, 4]), CPoly.zero(),
+                     CPoly.monomial(4) * 5, CPoly.zero()])
+        assert min(abs(b) for b in bk.branch_points(w)) > 1e-5
+        assert bk.sample_generic(w, 0.05, 1).base.orders == (3, math.inf, 4, math.inf)
 
 
 class TestGaussInvariance:

@@ -339,10 +339,10 @@ def _is_transverse_recomputed(dp, w) -> bool:
 
 
 class TestTransversality:
-    def test_stored_determinant_gives_recomputed_verdict(self, sampler_run):
-        # every double point sample_generic judged while drawing the
-        # sampled members
-        _, judged = sampler_run
+    def test_stored_determinant_gives_recomputed_verdict(self, sampled_members):
+        # every double point of the 24 sampled members at radius 0.5, grid 32
+        judged = [(dp, fm.deformed) for fm in sampled_members.values()
+                  for dp in bk.find_double_points(fm.deformed, 0.5, 32)]
         assert judged
         for dp, w in judged:
             assert dp.transverse == _is_transverse_recomputed(dp, w)
