@@ -22,7 +22,7 @@ from .deformation import (
     transversality_determinant,
     transversality_determinant_direct,
 )
-from .intersect import DoublePoint, brute_force_double_points, find_double_points
+from .intersect import DoublePoint, find_double_points
 from .knot import (
     BraidDiagram,
     KnotCurve,
@@ -32,6 +32,7 @@ from .knot import (
     check_crossing_routes,
     contact_transversality_margin,
     linking_number_gauss,
+    linking_number_normal,
     read_slice,
     select_eta,
     trace_slice,

@@ -27,7 +27,8 @@ its own as exit_code, directly or through its group:
      (SecondBranchPoint)
   4  identity violation (FormulaViolation)
   5  slicing/braiding failure (SliceFailure; a slice whose strands meet,
-     SliceNotEmbedded, crossing-count routes that disagree,
+     SliceNotEmbedded, a slice around a branch point other than 0,
+     BranchPointInSlice, crossing-count routes that disagree,
      CrossingRoutesDisagree, and a verify slice whose disk passes
      |z| = 0.9, SliceBeyondSearchLimit, included)
   6  the two Gauss-map routes disagree (GaussCrossCheckFailure)

@@ -256,12 +256,9 @@ def sample_generic(w: WeierstrassData, t: float, rng_seed: int,
     frame = _frame(w, orientation)
     base, _, slots = frame
     na, nb = base.orders[0], base.orders[slots[2]]
-    # the member at A = B = 0 is base with exact vanishing orders at 0, and
     # every member's h_i carries g_i: a common zero of the g_i is kept
-    still = _member(frame, PerturbParams(A=np.zeros(na + 1), B=np.zeros(nb + 1),
-                                         orientation=orientation))
-    for b in branch_points(still.deformed):
-        if abs(b) > _ROOT_SEP_TOL:
+    for b in branch_points(base):
+        if b != 0:
             raise SecondBranchPoint(
                 f"branch point at z = {b.real:.6g}{b.imag + 0.0:+.6g}j besides "
                 "z = 0 in the unit disk; every family member keeps it")

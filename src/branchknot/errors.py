@@ -83,12 +83,21 @@ class BranchOnSlice(SliceFailure):
     """A branch value lies on (or too close to) the slicing sphere."""
 
 
+class BranchPointInSlice(SliceFailure):
+    """A branch point other than 0 lies inside the slice, which then is
+    not the link of the branch point at 0."""
+
+
 class NonMonotoneFiberAngle(SliceFailure):
     """Knot is not braided at this radius: fiber angle not monotone."""
 
 
 class PushoffCollision(SliceFailure):
     """Pushoff copy collides with the original curve."""
+
+
+class FramingUnresolved(SliceFailure):
+    """The normal section of the slice does not settle as its radii double."""
 
 
 class ProjectionPoleOnCurve(SliceFailure):

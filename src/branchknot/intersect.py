@@ -1,30 +1,25 @@
 """Self-intersection search for immersed disk data.
 
-Two independent routes to the double-point count:
-
-* find_double_points: damped Newton (_kernels.newton_double_points) on
-  F(z1) = F(z2) with the diagonal z1 = z2 divided out, seeded from every
-  pair of points of a disk grid grid_n // 4 points across, deduplicated
-  into canonical preimage pairs.  This is the production path.
-* brute_force_double_points: an exhaustive proximity scan on a fine grid,
-  filtered to local minima of the image mismatch and clustered.  It never
-  touches the Newton machinery, so it can referee it.
+find_double_points runs damped Newton (_kernels.newton_double_points) on
+F(z1) = F(z2) with the diagonal z1 = z2 divided out, seeded from every
+pair of points of a disk grid grid_n // 4 points across, and deduplicates
+the converged pairs into canonical preimage pairs.  The independent check
+of its signed count inside a slice is knot.linking_number_normal, which
+never touches the Newton machinery.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _kernels
 from .errors import BranchPointInRegion
 from .weierstrass import WeierstrassData, branch_points, evaluate_F, jacobian
 
-__all__ = ["DoublePoint", "find_double_points", "brute_force_double_points"]
+__all__ = ["DoublePoint", "find_double_points"]
 
 log = logging.getLogger(__name__)
 
@@ -152,99 +147,3 @@ def _merge_pairs(z1: np.ndarray, z2: np.ndarray,
                | ((np.abs(a - mb) < _DEDUP_TOL) & (np.abs(b - ma) < _DEDUP_TOL)))
         a, b, resid = a[~dup], b[~dup], resid[~dup]
     return merged
-
-
-def brute_force_double_points(w: WeierstrassData, radius: float = 0.5,
-                              fine_n: int = 400) -> int:
-    """Independent double-point count by exhaustive grid proximity scan.
-
-    Registers grid pairs whose images are closer than a proximity cutoff
-    while their preimages are farther apart than 10 grid spacings, keeps
-    only pairs that are local minima of the image mismatch over the full
-    pair neighborhood (this discards the near-miss continua that any
-    threshold alone would catch), and counts clusters of the survivors.
-
-    The cutoff adapts to the local differential size: pair (i, j) is kept
-    when |F_i - F_j| is at most 3 * spacing times the 90th percentile of
-    the differential norm J and below 2.5 * spacing * min(J_i, J_j).  The
-    tree is asked for each point's ball of the smaller of its two bounds,
-    so it registers only pairs that both can keep.
-    """
-    side = np.linspace(-radius, radius, fine_n)
-    spacing = side[1] - side[0]
-    zz = (side[None, :] + 1j * side[:, None]).ravel()
-    in_disk = np.abs(zz) <= radius
-
-    img = np.full((fine_n * fine_n, 4), np.inf)
-    img[in_disk] = evaluate_F(w, zz[in_disk])
-
-    fx, fy = jacobian(w, zz[in_disk])
-    jn_disk = np.sqrt(np.einsum("ij,ij->i", fx, fx)
-                      + np.einsum("ij,ij->i", fy, fy))
-    jn = np.full(fine_n * fine_n, np.inf)
-    jn[in_disk] = jn_disk
-
-    query_r = 3.0 * spacing * float(np.percentile(jn_disk, 90))
-    # point i's ball holds every j that both bounds can keep; pairs i < j
-    pts = img[in_disk]
-    balls = cKDTree(pts).query_ball_point(
-        pts, np.minimum(query_r, 2.5 * spacing * jn_disk))
-    i = np.repeat(np.arange(pts.shape[0]), [len(b) for b in balls])
-    j = np.fromiter(chain.from_iterable(balls), np.intp, i.size)
-    disk_idx = np.nonzero(in_disk)[0]
-    i, j = disk_idx[i[i < j]], disk_idx[j[i < j]]
-
-    keep = np.abs(zz[i] - zz[j]) > 10.0 * spacing
-    i, j = i[keep], j[keep]
-    mism = np.linalg.norm(img[i] - img[j], axis=1)
-    keep = mism < 2.5 * spacing * np.minimum(jn[i], jn[j])
-    i, j, mism = i[keep], j[keep], mism[keep]
-    if i.size == 0:
-        return 0
-
-    # one representative (smallest mismatch) per coarse cell-pair bucket;
-    # a discarded pair is dominated by its representative, so the local
-    # minima that matter all survive
-    cell = 3.0 * spacing
-    nc = int(2.0 * radius / cell) + 2
-    ci = ((zz.real + radius) / cell).astype(np.int64)
-    cj = ((zz.imag + radius) / cell).astype(np.int64)
-    cellid = ci * (nc + 1) + cj
-    key = cellid[i] * (nc + 1) ** 2 + cellid[j]
-    order = np.lexsort((mism, key))
-    first = np.ones(order.size, bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    i, j, mism = i[order[first]], j[order[first]], mism[order[first]]
-
-    # 9-point grid neighborhoods (clamped at the boundary)
-    rows, cols = np.divmod(np.arange(fine_n * fine_n), fine_n)
-    step = np.array([-1, 0, 1])
-    nbrs = (np.clip(rows[:, None, None] + step[:, None], 0, fine_n - 1) * fine_n
-            + np.clip(cols[:, None, None] + step, 0, fine_n - 1)).reshape(-1, 9)
-
-    is_min = np.empty(i.size, bool)
-    chunk = 4096
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, i.size, chunk):
-            di = img[nbrs[i[lo:lo + chunk]]]      # (k, 9, 4)
-            dj = img[nbrs[j[lo:lo + chunk]]]
-            diff = di[:, :, None, :] - dj[:, None, :, :]
-            mm = np.sqrt(np.einsum("kabc,kabc->kab", diff, diff))
-            best = np.nanmin(mm.reshape(len(di), -1), axis=1)
-            is_min[lo:lo + chunk] = mism[lo:lo + chunk] <= best + 1e-15
-    if not is_min.any():
-        return 0
-
-    # clusters of minima whose preimages agree within 5 spacings; both
-    # pair matchings are tried since the ordering of nearly symmetric
-    # preimage pairs is unstable
-    # imported here: at module level it adds ~30 ms to every CLI start
-    from scipy.sparse.csgraph import connected_components
-
-    a, b = zz[i[is_min]], zz[j[is_min]]
-
-    def near(u, v):
-        return np.abs(u[:, None] - v[None, :]) < 5.0 * spacing
-
-    same = (near(a, a) & near(b, b)) | (near(a, b) & near(b, a))
-    return int(connected_components(same, directed=False)[0])

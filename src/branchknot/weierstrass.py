@@ -159,34 +159,25 @@ _BRANCH_TOL = 1e-9
 
 
 def branch_points(w: WeierstrassData) -> list:
-    """Common zeros of the nonzero derivative components inside the unit disk.
+    """Branch points inside the unit disk: 0 whenever N >= 2, and the
+    common zeros of the nonzero derivative components.
 
-    Roots of the lowest-degree nonzero component, filtered by requiring
-    every other nonzero component to vanish there within
-    _BRANCH_TOL * (1 + scale).
+    The others are the roots of the lowest-degree nonzero component with
+    its first orders[k] coefficients, those valuation reads as zero,
+    dropped, filtered by requiring every other nonzero component to
+    vanish there within _BRANCH_TOL * (1 + scale).  Roots within 1e-9 of
+    one kept before them are coalesced, and 0 is kept first.
     """
     nonzero = [p for p in w.fprime if not p.is_zero]
-    candidates = min(nonzero, key=lambda p: p.degree)
-    if candidates.degree < 1:
-        return []
-    out = []
-    for r in candidates.roots():
-        if abs(r) >= 1.0:
-            continue
-        ok = True
-        for p in nonzero:
-            if abs(p(r)) > _BRANCH_TOL * (1.0 + p.max_abs_coeff()):
-                ok = False
-                break
-        if ok:
+    k = min((p.degree, k) for k, p in enumerate(w.fprime) if not p.is_zero)[1]
+    candidates = CPoly(w.fprime[k].coeffs[w.orders[k]:])
+    out = [0j] if w.N >= 2 else []
+    for r in (candidates.roots() if candidates.degree >= 1 else ()):
+        if (abs(r) < 1.0 and all(abs(r - s) > 1e-9 for s in out)
+                and all(abs(p(r)) <= _BRANCH_TOL * (1.0 + p.max_abs_coeff())
+                        for p in nonzero)):
             out.append(complex(r))
-    out.sort(key=lambda c: (c.real, c.imag))
-    # coalesce multiple roots
-    dedup = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > 1e-9:
-            dedup.append(r)
-    return dedup
+    return sorted(out, key=lambda c: (c.real, c.imag))
 
 
 # the Plucker coordinates of a plane, in this basis order:
@@ -199,13 +190,16 @@ def tangent_plane(w: WeierstrassData, z) -> np.ndarray:
 
     Vectorized over arrays of z: the last axis holds the six Plucker
     coordinates, so the shape is np.shape(z) + (6,).  Raises
-    DegeneratePlane when the differential vanishes at any of the points.
+    DegeneratePlane when the differential vanishes at any of the points:
+    when |dF/dx ^ dF/dy| is at most 1e-12 of its rounding scale
+    |dF/dx| |dF/dy|, which it equals on conformal data.
     """
     fx, fy = jacobian(w, z)
     p = np.stack([fx[..., i] * fy[..., j] - fx[..., j] * fy[..., i]
                   for i, j in _BASIS_PAIRS], axis=-1)
     n = np.linalg.norm(p, axis=-1, keepdims=True)
-    degenerate = n[..., 0] <= 1e-12 * max(1.0, w.coeff_scale() ** 2)
+    scale = np.linalg.norm(fx, axis=-1) * np.linalg.norm(fy, axis=-1)
+    degenerate = n[..., 0] <= 1e-12 * scale
     if degenerate.any():
         bad = np.asarray(z)[degenerate]
         raise DegeneratePlane(f"vanishing differential at z={bad[0]} "

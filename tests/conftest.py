@@ -69,16 +69,6 @@ def flat_knot(flat):
     return bk.trace_slice(flat, 0.5)
 
 
-@pytest.fixture(scope="session")
-def oracle_counts(cusp_member, torus_member, flat):
-    """Brute-force double-point counts, shared between suites (slow)."""
-    return {
-        "cusp": bk.brute_force_double_points(cusp_member.deformed, 0.5, 400),
-        "torus": bk.brute_force_double_points(torus_member.deformed, 0.5, 400),
-        "flat": bk.brute_force_double_points(flat, 0.5, 400),
-    }
-
-
 class _Captured(Exception):
     """Stops a search once a patched step has recorded its arguments."""
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import branchknot as bk
+from branchknot import knot
 
 CUSP_T = 0.05
 
@@ -146,15 +147,30 @@ def test_criterion_07_isotopy_stability(cusp):
     _ok(7, f"e constant over t grid {es_t} and over one eta decade {es_eta}")
 
 
-def test_criterion_08_oracle_equivalence(oracle_counts, cusp_member,
-                                         torus_member, flat):
-    finds = {
-        "cusp": len(bk.find_double_points(cusp_member.deformed, 0.5, 48)),
-        "torus": len(bk.find_double_points(torus_member.deformed, 0.5, 48)),
-        "flat": len(bk.find_double_points(flat, 0.5, 48)),
-    }
-    assert finds == oracle_counts == {"cusp": 1, "torus": 2, "flat": 0}
-    _ok(8, f"brute-force scan equals the solver on all three controls: {finds}")
+def test_criterion_08_oracle_equivalence(cusp_member, torus_member, flat):
+    # two routes to the count: the Newton search of the 0.5 disk, and the
+    # normal-framing linking number of each control's slice at eta 0.5,
+    # whose disk covers the 0.5 disk; that number is twice the
+    # det-signed count of Newton's double points inside the ball
+    maps = {"cusp": cusp_member.deformed, "torus": torus_member.deformed,
+            "flat": flat}
+    finds = {name: len(bk.find_double_points(w, 0.5, 48))
+             for name, w in maps.items()}
+    links = {}
+    for name, w in maps.items():
+        k = bk.trace_slice(w, 0.5)
+        assert np.abs(k.preimages).min() >= 0.5 - 1e-12
+        links[name] = bk.linking_number_normal(w, k)
+        dps, _ = knot._search(w, k, 48)
+        signed = sum(int(np.sign(dp.transversality_det)) for dp in dps
+                     if np.linalg.norm(dp.image) < k.eta)
+        assert abs(links[name] - 2 * signed) <= 1e-6
+    assert finds == {"cusp": 1, "torus": 2, "flat": 0}
+    expected = {"cusp": 2, "torus": 4, "flat": 0}
+    assert all(abs(links[name] - lk) <= 1e-6 for name, lk in expected.items())
+    _ok(8, f"Newton counts {finds} on the 0.5 disk; normal-framing linking "
+           f"numbers {', '.join(f'{n} {lk:.6f}' for n, lk in links.items())} "
+           "at eta 0.5, twice the signed counts")
 
 
 def test_criterion_09_invariant_suite(cusp, torus5, ex4, cusp_member,

@@ -225,6 +225,18 @@ class TestAnalyze:
             assert sample["gamma_plus"] == [0.0, 0.0, 1.0]
             assert sample["gamma_minus"] == "undefined (degenerate chart)"
 
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(2, 6)
+                                      for q in range(p + 1, 10) if math.gcd(p, q) == 1])
+    def test_torus_curve(self, p, q, tmp_path, capsys):
+        # z -> (z^p, z^q), the curves of the knot-slices benchmark: the
+        # symplectic ring at |z| = 0.01 has a tangent plane at every point
+        doc = {"fprime": [[[0, 0]] * (p - 1) + [[p, 0]], [],
+                          [[0, 0]] * (q - 1) + [[q, 0]], []]}
+        assert run("analyze", "--input", write_input(tmp_path, doc), "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N"] == p and report["branch_points"] == [[0.0, 0.0]]
+        assert report["symplectic_min_plus"] > 0
+
     def test_summary_line(self, capsys):
         # without --json the report goes to stdout and one line to stderr
         rc = run("analyze", "--input", str(DATA / "cusp.json"))
@@ -459,8 +471,8 @@ class TestDeform:
 ], ids=["deform-four-function", "deform-cusp", "verify-cusp"])
 def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
     # every draw that passes check_X1 builds its member once, and the
-    # accepted one is handed on, not built again; the member at A = B = 0
-    # is built once per run, for the second-branch-point refusal
+    # accepted one is handed on, not built again; the second-branch-point
+    # refusal reads the base and builds no member
     real_build, real_x1 = deformation._member, deformation.check_X1
     built, passed = [], []
 
@@ -480,8 +492,8 @@ def test_one_member_per_draw(argv, tmp_path, monkeypatch, capsys):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, spy)
     assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path)) == 0
-    assert len(built) - 1 == sum(passed) >= 1
-    assert built[0].t == 0.0 and all(p.t > 0 for p in built[1:])
+    assert len(built) == sum(passed) >= 1
+    assert all(p.t > 0 for p in built)
 
 
 # cusps at z = 0 and z = 0.5; SECOND_CUSP_OUTSIDE moves the second to z = 2
@@ -511,6 +523,18 @@ def test_second_branch_point_outside_the_disk(tmp_path, capsys):
              "--t", "1e-5", "--seed", "1")
     assert rc == 0
     assert capsys.readouterr().out == "D=1 e=3 N=2 sl=1 OK\n"
+
+
+def test_knot_refuses_a_slice_around_the_second_cusp(tmp_path, capsys):
+    path = write_input(tmp_path, SECOND_CUSP)
+    rc = run("knot", "--input", path, "--eta", "0.1", "--out-dir", str(tmp_path))
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "BranchPointInSlice: branch point at z = 0.5+0j inside the slice at "
+        "eta=0.1, besides z = 0\n")
+    # the eta scan halves past it to the link of the cusp at 0
+    assert run("knot", "--input", path, "--out-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == "winding=2 e=3 gauss=3.000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,8 +13,11 @@ import branchknot as bk
 from branchknot.cpoly import CPoly
 from branchknot.errors import (
     BranchOnSlice,
+    BranchPointInRegion,
+    BranchPointInSlice,
     CrossingRoutesDisagree,
     FormulaViolation,
+    FramingUnresolved,
     NonMonotoneFiberAngle,
     PushoffCollision,
     SliceNotEmbedded,
@@ -113,6 +116,21 @@ class TestTraceSlice:
         eta_hit = float(np.linalg.norm(bk.evaluate_F(w, a)))
         with pytest.raises(BranchOnSlice):
             bk.trace_slice(w, eta_hit)
+
+    def test_second_branch_point_inside_is_refused(self):
+        # cusps at z = 0 and z = 0.5, where |F| is about 0.026: the slice at
+        # eta 0.1 encloses the second and is not the link of the first
+        w = bk.load([CPoly([0, -0.5, 1]), CPoly.zero(),
+                     CPoly([0, 0, -1.5, 3]), CPoly.zero()])
+        with pytest.raises(BranchPointInSlice,
+                           match=r"^branch point at z = 0\.5\+0j inside the "
+                                 r"slice at eta=0\.1, besides z = 0$"):
+            bk.trace_slice(w, 0.1)
+        # the scan halves past it: 0.05 encloses it, 0.025 is within 5% of
+        # its branch value, and at 0.0125 a ray still crosses twice
+        k = bk.select_eta(w)
+        assert k.eta == 0.00625
+        assert bk.algebraic_crossing_number(bk.braid_from_knot(k)) == 3
 
     def test_csv_export(self, flat_knot):
         buf = io.StringIO()
@@ -469,6 +487,65 @@ class TestLinking:
         assert k.strand_gap < 1e-15
         with pytest.raises(PushoffCollision, match="2048-point polygon"):
             bk.linking_number_gauss(k)
+
+
+def _signed_count(w, k) -> int:
+    """Newton's count of w's double points inside k's ball, each signed
+    by its transversality determinant."""
+    dps, _ = knot_module._search(w, k, 48)
+    return sum(int(np.sign(dp.transversality_det)) for dp in dps
+               if np.linalg.norm(dp.image) < k.eta)
+
+
+SAMPLED = [(stem, seed, orientation)
+           for stem in ("cusp", "torus5", "four_function", "mixed_strong")
+           for seed in (1, 2, 3) for orientation in (+1, -1)]
+
+
+class TestLinkingNormal:
+    @pytest.mark.parametrize("key", SAMPLED, ids=lambda key: "-".join(map(str, key)))
+    def test_twice_the_signed_count(self, key, sampled_members):
+        # on the 24 sampled members, the non-holomorphic ones included
+        w = sampled_members[key].deformed
+        k = bk.trace_slice(w, 0.1)
+        lk = bk.linking_number_normal(w, k)
+        assert abs(lk - round(lk)) <= 1e-6
+        assert round(lk) == 2 * _signed_count(w, k)
+
+    def test_branched_map_is_refused(self, cusp, cusp_knot):
+        with pytest.raises(BranchPointInRegion,
+                           match=r"z = 0j inside the slice at eta=0\.01"):
+            bk.linking_number_normal(cusp, cusp_knot)
+
+    def test_unresolved_section_is_refused(self, monkeypatch):
+        # a T(3,8) member at t = 1e-5: at 50 radii the section settles at
+        # the slice while jumping over its swings near the roots of h1, and
+        # reads 16 for 2 delta = 14; one step still turns it by 0.38 rad.
+        # Up to 400 radii it is refused, and 3200 read 14 (about 2 s)
+        rng = np.random.default_rng(7)
+
+        def draw(n):
+            v = rng.standard_normal(2 * n)
+            v *= 1e-5 / np.linalg.norm(v)
+            return v[:n] + 1j * v[n:]
+
+        p = bk.PerturbParams(draw(3), draw(8), +1, 1e-5)
+        w = bk.build_family_member(torus_curve(3, 8), p).deformed
+        monkeypatch.setattr(knot_module, "_FRAME_MAX_RADII", 400)
+        with pytest.raises(FramingUnresolved, match=r"^at 400 radii "):
+            bk.linking_number_normal(w, bk.trace_slice(w, 0.1))
+
+    def test_pushoff_of_meeting_strands_is_refused(self, flat):
+        # the touching sheets of the Gauss test over flat's disk: the
+        # quarter of their gap is below the pushoff floor
+        th = 4 * math.pi * np.arange(2048) / 2048
+        x3 = 0.5 * np.cos(th / 2)
+        rho = np.sqrt(1 - x3 ** 2)
+        k = KnotCurve(samples=np.stack([rho * np.cos(th), rho * np.sin(th),
+                                        x3, 0 * x3], axis=1),
+                      preimages=0.1 * np.exp(1j * th / 2), eta=0.1)
+        with pytest.raises(PushoffCollision, match="down to 1e-09"):
+            bk.linking_number_normal(flat, k)
 
 
 class TestCrossingRoutes:

@@ -63,10 +63,27 @@ def test_braid_and_gauss_share_only_the_slice():
 
 
 def test_oracle_shares_nothing_with_the_newton_search():
+    # the normal-framing linking number checks the double-point count
     newton = closure("intersect.find_double_points")
     assert {"intersect._merge_pairs", "intersect._frame",
             "_kernels.newton_double_points"} <= newton
-    assert closure("intersect.brute_force_double_points") & newton == set()
+    normal = closure("knot.linking_number_normal")
+    assert "_kernels.linking_sum" in normal
+    assert normal & newton == set()
+
+
+def test_normal_framing_shares_only_the_slice_with_the_braid():
+    braid = closure("knot.braid_from_knot", "knot.algebraic_crossing_number")
+    assert closure("knot.linking_number_normal") & braid == {"knot.KnotCurve"}
+
+
+def test_newton_search_imports_no_scipy():
+    tree = ast.parse((SRC / "intersect.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(name.split(".")[0] == "scipy" for name in imported)
 
 
 def test_closure_follows_imports():

@@ -135,6 +135,14 @@ class TestTangentPlane:
         P = bk.tangent_plane(ex4, 1e-3)
         assert np.abs(P - E12).max() < 1e-2
 
+    def test_small_differential_is_not_degenerate(self):
+        # z -> (z^5, z^9) at |z| = 0.01: |dF/dx ^ dF/dy| is about 2.5e-15,
+        # which is |dF/dx| |dF/dy| itself
+        w = bk.load([CPoly([0, 0, 0, 0, 5]), CPoly.zero(),
+                     CPoly([0] * 8 + [9]), CPoly.zero()])
+        P = bk.tangent_plane(w, 0.01 * np.exp(2j * np.pi * np.arange(32) / 32))
+        assert np.abs(P - E12).max() < 1e-6
+
     def test_degenerate_at_branch(self, ex4):
         with pytest.raises(DegeneratePlane):
             bk.tangent_plane(ex4, 0.0)
